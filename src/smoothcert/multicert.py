@@ -8,6 +8,11 @@ closed form for mixed-sign weights, so probabilities are estimated by
 Monte-Carlo with common random numbers and every verdict carries a 99%
 half-width; queries whose intervals overlap are reported as unknown rather
 than resolved optimistically.
+
+With the draws fixed, each empirical tail probability is a step function of
+the threshold, so both thresholds are exact order statistics of the sampled
+sums: the smallest threshold whose empirical probability reaches its target,
+found by one selection (``np.partition``) per threshold.
 """
 
 from __future__ import annotations
@@ -111,7 +116,10 @@ def _sorted_gamma(gamma: Sequence[float]) -> np.ndarray:
 def _exp_squares(sigma: float, n: int, mc_samples: int, sampler: SeededSampler) -> np.ndarray:
     """(mc_samples, n) draws of squared Rayleigh factors: Exp(mean 2 sigma^2)."""
     u = sampler.uniforms(mc_samples * n)
-    return (-2.0 * sigma * sigma) * np.log1p(-u).reshape(mc_samples, n)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    u *= -2.0 * sigma * sigma
+    return u.reshape(mc_samples, n)
 
 
 def _estimate(indicator: np.ndarray) -> McEstimate:
@@ -146,27 +154,34 @@ def weighted_expsum_cdf(
 
 
 def _solve_threshold(sums: np.ndarray, target: float, upper_tail: bool) -> float:
-    """Bisect on the common-random-number CDF estimate.
+    """Exact threshold on the common-random-number CDF estimate.
 
     With fixed draws the empirical CDF is a monotone step function of the
-    threshold, so bisection converges to the jump where it crosses ``target``.
-    ``upper_tail`` solves P(S >= t) = target instead of P(S <= t) = target.
+    threshold.  The lower tail returns the smallest t with
+    ``mean(sums <= t) >= target``: the k-th smallest sum, k the least count
+    with ``k / n >= target``.  ``upper_tail`` returns the smallest t with
+    ``mean(sums >= t) <= target``: the double just above the (m+1)-th largest
+    sum, m the greatest count with ``m / n <= target``.  Counts are compared
+    in float as ``mean`` compares them, since ``target * n`` may round across
+    an integer.  ``sums`` is partially sorted in place.
     """
-    lo = float(sums.min()) - 1.0
-    hi = float(sums.max()) + 1.0
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if upper_tail:
-            value = float((sums >= mid).mean())
-            too_low = value > target
-        else:
-            value = float((sums <= mid).mean())
-            too_low = value < target
-        if too_low:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    n = sums.size
+    if upper_tail:
+        m = math.floor(target * n)
+        while m / n > target:
+            m -= 1
+        while (m + 1) / n <= target:
+            m += 1
+        kth = n - 1 - m
+        sums.partition(kth)
+        return float(np.nextafter(sums[kth], np.inf))
+    k = math.ceil(target * n)
+    while k / n < target:
+        k += 1
+    while (k - 1) / n >= target:
+        k -= 1
+    sums.partition(k - 1)
+    return float(sums[k - 1])
 
 
 def solve_thresholds(
@@ -174,9 +189,11 @@ def solve_thresholds(
 ) -> tuple[float, float]:
     """Thresholds (r, theta) for one factor vector.
 
-    r solves P(sum (1 - gamma_i^-2) beta_i^2 <= r) = pa_lower and theta solves
-    P(sum (1 - gamma_i^-2) beta_i^2 >= theta) = pb_upper on the same draws.
-    The identity vector has all-zero coefficients; membership short-circuits
+    On one set of draws of S = sum (1 - gamma_i^-2) beta_i^2, r is the
+    smallest sampled value with empirical P(S <= r) >= pa_lower, and theta is
+    the smallest double with empirical P(S >= theta) <= pb_upper (just above a
+    sampled value).  Both are exact order statistics of the draws.  The
+    identity vector has all-zero coefficients; membership short-circuits
     there, and (0, 0) is returned.
     """
     g = _sorted_gamma(gamma)

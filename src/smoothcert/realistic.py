@@ -295,7 +295,9 @@ class RealisticResult:
 
 def _gaussian_noise(sampler: SeededSampler, count: int, shape: tuple, sigma: float) -> np.ndarray:
     u = sampler.uniforms(count * int(np.prod(shape)))
-    return sigma * ndtri(u).reshape((count,) + shape)
+    ndtri(u, out=u)
+    u *= sigma
+    return u.reshape((count,) + shape)
 
 
 def certify_realistic(
@@ -348,7 +350,8 @@ def certify_realistic(
     for j, beta in enumerate(factors):
         transformed = gamma_correct(arr, float(beta))
         noise = _gaussian_noise(sampler.stream(j + 1), cfg.n_eps, arr.shape, cfg.sigma_gauss)
-        labels = base.labels(transformed[np.newaxis, ...] + noise)
+        noise += transformed
+        labels = base.labels(noise)
         candidate = int(np.argmax(np.bincount(labels)))
         hits = int(np.sum(labels == candidate))
         radius = inner_radius(hits)

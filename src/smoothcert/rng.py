@@ -63,4 +63,4 @@ class SeededSampler:
         bitgen = np.random.Philox(key=key)
         bitgen.advance(block)
         u = np.random.Generator(bitgen).random(offset + count)[offset:]
-        return np.maximum(u, _MIN_UNIFORM)
+        return np.maximum(u, _MIN_UNIFORM, out=u)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -196,6 +197,24 @@ class TestSampling:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             rayleigh().sample(SeededSampler(1), 0)
+
+
+# sha256 of the raw float64 bytes of SeededSampler(seed, stream).uniforms(count,
+# start), recorded with numpy 2.4; any change to the stream must keep every bit.
+# Starts 5, 4094 and 6 are not multiples of the 4-word Philox block.
+GOLDEN_UNIFORMS = [
+    (0, 0, 1000, 0, "3606d59a0dcf7955d9a5b4fbbe4c12912bfd43dfbb4ab1a976d014f20e02b8c9"),
+    (7, 3, 333, 5, "1f1b71eee1df518a0b7b8fbded3d6d83c0cef3e5cdd6f9d51cc2a7804408d570"),
+    (2**64 - 1, 12, 17, 4094, "340578059f72b1158587cd3e2ffc57d760a5b0c88aa50705c893fe4c9eb14801"),
+    (123, 0, 1, 6, "370d7f7b91168bd0ef4ed6095bd51e89cc14e21e7c93cbd5fc0c17c34766df24"),
+]
+
+
+@pytest.mark.parametrize("seed, stream, count, start, digest", GOLDEN_UNIFORMS)
+def test_uniforms_are_golden(seed, stream, count, start, digest):
+    u = SeededSampler(seed, stream).uniforms(count, start)
+    assert u.shape == (count,) and u.dtype == np.float64
+    assert hashlib.sha256(u.tobytes()).hexdigest() == digest
 
 
 @settings(max_examples=30)

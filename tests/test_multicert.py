@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,6 +16,8 @@ from smoothcert import (
     solve_thresholds,
     weighted_expsum_cdf,
 )
+from smoothcert.multicert import _exp_squares, _solve_threshold
+from smoothcert.rng import SeededSampler
 
 SIGMA = RayleighParams.unit_median().sigma
 
@@ -25,6 +28,33 @@ def exponential_cdf(t: float, scale: float) -> float:
 
 def make_problem(pa=0.9, pb=0.1, n=1, mc=100_000, seed=12) -> MultiCertProblem:
     return MultiCertProblem(n=n, sigma=SIGMA, pa_lower=pa, pb_upper=pb, mc_samples=mc, seed=seed)
+
+
+def bisection_threshold(sums: np.ndarray, target: float, upper_tail: bool) -> float:
+    """Reference: bisect the empirical tail probability until lo and hi are
+    adjacent doubles, then take hi, the limit of the bisection.
+    """
+    lo = float(sums.min()) - 1.0
+    hi = float(sums.max()) + 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if upper_tail:
+            too_low = float((sums >= mid).mean()) > target
+        else:
+            too_low = float((sums <= mid).mean()) < target
+        if too_low:
+            lo = mid
+        else:
+            hi = mid
+
+
+# Draw counts: round, prime, and just under 1e5.
+MC_SIZES = [100_000, 10_007, 99_991]
+# Targets whose target * n is inexact in float, or rounds across an integer
+# (0.56 and 0.29 at n = 1e5 need the index corrected after ceil and floor).
+TARGET_PAIRS = [(0.3, 0.15), (0.123456789, 0.1), (0.56, 0.29), (0.9, 0.05)]
 
 
 class TestWeightedExpsumCdf:
@@ -76,6 +106,45 @@ class TestSolveThresholds:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             solve_thresholds(make_problem(n=2), [1.5])
+
+    @pytest.mark.parametrize("mc", MC_SIZES)
+    @pytest.mark.parametrize("pa, pb", TARGET_PAIRS + [(None, None)])
+    def test_equals_converged_bisection(self, mc, pa, pb):
+        if pa is None:
+            # Extreme indices: r is the smallest sum (k = 1), theta sits just
+            # above the largest (m = 0).
+            pa, pb = 1.0 / mc, 0.5 / mc
+        problem = make_problem(pa=pa, pb=pb, n=2, mc=mc, seed=21)
+        gamma = [1.6, 0.8]
+        r, theta = solve_thresholds(problem, gamma, stream_index=3)
+        coeffs = 1.0 - np.asarray(gamma) ** -2.0
+        sums = _exp_squares(SIGMA, 2, mc, SeededSampler(21, 3)) @ coeffs
+        assert r == bisection_threshold(sums, pa, upper_tail=False)
+        assert theta == bisection_threshold(sums, pb, upper_tail=True)
+
+    @pytest.mark.parametrize("mc", MC_SIZES)
+    @pytest.mark.parametrize("target", [0.3, 0.15, 0.123456789, 0.56, 0.29, None])
+    @pytest.mark.parametrize("upper_tail", [False, True])
+    def test_equals_converged_bisection_with_ties(self, mc, target, upper_tail):
+        sums = np.round(_exp_squares(SIGMA, 1, mc, SeededSampler(5, 1))[:, 0], 2)
+        assert np.unique(sums).size < mc // 10
+        if target is None:
+            target = 0.5 / mc if upper_tail else 1.0 / mc
+        expected = bisection_threshold(sums, target, upper_tail)
+        assert _solve_threshold(sums.copy(), target, upper_tail) == expected
+
+    def test_draws_are_golden(self):
+        # sha256 of the raw float64 bytes recorded with numpy 2.4 / scipy 1.17;
+        # any change to the draw arithmetic must keep every bit.
+        squares = _exp_squares(SIGMA, 2, 1000, SeededSampler(3, 1))
+        assert squares.shape == (1000, 2) and squares.dtype == np.float64
+        assert hashlib.sha256(squares.tobytes()).hexdigest() == (
+            "2547ca4df6379ed4ab0a6b2e5b60d570c77f9afbb81156dfe88851d92d438c38"
+        )
+        squares = _exp_squares(0.7, 3, 500, SeededSampler(11, 4))
+        assert hashlib.sha256(squares.tobytes()).hexdigest() == (
+            "8d2c6faa7b179e8f7fe4a875e31604ccb913c2cd2e3870469a21b93df4b242a1"
+        )
 
 
 class TestInRobustRegion:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -23,6 +24,8 @@ from smoothcert import (
     quantile_upper_confidence,
     smoothed_predict_certify,
 )
+from smoothcert.realistic import _gaussian_noise
+from smoothcert.rng import SeededSampler
 
 GAMMA_INTERVAL = (0.71, 1.33)
 
@@ -152,6 +155,21 @@ class TestEstimateConversionError:
         E = estimate_conversion_error([x] * 40, GAMMA_INTERVAL, q_E=0.9, alpha_E=0.05, seed=2)
         assert E > 0.0
         assert E <= np.sqrt(x.size)
+
+
+@pytest.mark.parametrize(
+    "seed, stream, count, shape, sigma, digest",
+    [
+        (5, 2, 4, (3, 8, 8), 0.25, "bcc7d8553e4e0b154d385e8695d2d81f242d5ee957c16d7b2ca1248b9f9a160c"),
+        (9, 7, 3, (1, 5, 7), 0.5, "302595a68a503be7fa226a305a55d8bfc18efd680b29e6ab94fc5c3c11d28c50"),
+    ],
+)
+def test_gaussian_noise_is_golden(seed, stream, count, shape, sigma, digest):
+    # sha256 of the raw float64 bytes, recorded with numpy 2.4 / scipy 1.17;
+    # any change to the noise arithmetic must keep every bit.
+    noise = _gaussian_noise(SeededSampler(seed, stream), count, shape, sigma)
+    assert noise.shape == (count,) + shape and noise.flags.c_contiguous
+    assert hashlib.sha256(noise.tobytes()).hexdigest() == digest
 
 
 class TestCertifyRealistic:
