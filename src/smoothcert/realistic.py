@@ -19,8 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import binom
+from scipy.special import bdtrc, ndtri
 
 from .certify import (
     Abstain,
@@ -227,7 +226,7 @@ def quantile_upper_confidence(samples: Sequence[float], q: float, alpha: float) 
             f"{1 - alpha}, got {m}"
         )
     # smallest k with P(Bin(m, q) >= k) <= alpha; k = m always qualifies here.
-    tail = binom.sf(np.arange(m), m, q)  # tail[j] = P(X >= j+1)
+    tail = bdtrc(np.arange(m), m, q)  # tail[j] = P(X >= j+1)
     k = int(np.argmax(tail <= alpha)) + 1
     return float(values[k - 1])
 
@@ -335,17 +334,6 @@ def certify_realistic(
     sampler = SeededSampler(cfg.seed)
     factors = law.sample(sampler.stream(0), cfg.n_gamma)
 
-    radius_cache: dict[int, float | Abstain] = {}
-
-    def inner_radius(hits: int) -> float | Abstain:
-        if hits not in radius_cache:
-            pa_inner = clopper_pearson(SampleCounts(hits, cfg.n_eps), cfg.alpha, Side.LOWER)
-            if pa_inner <= 0.5:
-                radius_cache[hits] = Abstain("inner bound at or below 1/2")
-            else:
-                radius_cache[hits] = gaussian_l2_radius(pa_inner, cfg.sigma_gauss)
-        return radius_cache[hits]
-
     votes = np.full(cfg.n_gamma, _MISS, dtype=int)
     for j, beta in enumerate(factors):
         transformed = gamma_correct(arr, float(beta))
@@ -354,7 +342,8 @@ def certify_realistic(
         labels = base.labels(noise)
         candidate = int(np.argmax(np.bincount(labels)))
         hits = int(np.sum(labels == candidate))
-        radius = inner_radius(hits)
+        pa_inner = clopper_pearson(SampleCounts(hits, cfg.n_eps), cfg.alpha, Side.LOWER)
+        radius = gaussian_l2_radius(pa_inner, cfg.sigma_gauss)
         if not isinstance(radius, Abstain) and radius >= budget.E:
             votes[j] = candidate
 

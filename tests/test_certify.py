@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +46,83 @@ def random_bounds(rng: np.random.Generator) -> tuple[float, float]:
     pa = rng.uniform(0.4, 0.999)
     pb = rng.uniform(0.001, pa - 0.02)
     return pa, pb
+
+
+# Exact binomial tails, the oracle for the Clopper-Pearson bounds: stdlib
+# rationals for small n, a 50-digit pmf recurrence for large n.
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+_BERNOULLI = [  # B_2, B_4, ..., B_20
+    Fraction(1, 6),
+    Fraction(-1, 30),
+    Fraction(1, 42),
+    Fraction(-1, 30),
+    Fraction(5, 66),
+    Fraction(-691, 2730),
+    Fraction(7, 6),
+    Fraction(-3617, 510),
+    Fraction(43867, 798),
+    Fraction(-174611, 330),
+]
+
+
+def _ln_factorial(m: int) -> Decimal:
+    """ln(m!) in the current context: exact below 1000, Stirling series above.
+
+    From m = 1000 on, the first omitted term of the series is below 1e-60.
+    """
+    if m < 1000:
+        return Decimal(math.factorial(m)).ln()
+    z = Decimal(m)
+    total = z * z.ln() - z + (2 * _PI * z).ln() / 2
+    power = z
+    for j, b in enumerate(_BERNOULLI, start=1):
+        total += Decimal(b.numerator) / Decimal(b.denominator) / (2 * j * (2 * j - 1) * power)
+        power *= z * z
+    return total
+
+
+def _fraction_tail(k: int, n: int, p: float, upper: bool) -> Fraction:
+    """P(X >= k) if upper else P(X <= k), X ~ Bin(n, p), in exact rationals."""
+    p = Fraction(p)
+    terms = range(k, n + 1) if upper else range(0, k + 1)
+    return sum(math.comb(n, i) * p**i * (1 - p) ** (n - i) for i in terms)
+
+
+def _decimal_tail(k: int, n: int, p: float, upper: bool) -> Fraction:
+    """The same tail to about 45 digits, walking the pmf away from k.
+
+    The walk stops once the geometric bound on the rest falls below 1e-45 of
+    the sum; the pmf ratio only shrinks along the walk, so that bound holds.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ctx.Emin, ctx.Emax = -(10**8), 10**8
+        p = Decimal(p)
+        q = 1 - p
+        term = (
+            _ln_factorial(n)
+            - _ln_factorial(k)
+            - _ln_factorial(n - k)
+            + k * p.ln()
+            + (n - k) * q.ln()
+        ).exp()
+        total, i = term, k
+        while i != (n if upper else 0):
+            if upper:
+                ratio = (n - i) * p / ((i + 1) * q)
+                i += 1
+            else:
+                ratio = i * q / ((n - i + 1) * p)
+                i -= 1
+            term *= ratio
+            total += term
+            if ratio < 1 and term * ratio / (1 - ratio) < total * Decimal("1e-45"):
+                break
+        return Fraction(total)
+
+
+def _exact_tail(k: int, n: int, p: float, upper: bool) -> Fraction:
+    return (_fraction_tail if n <= 50 else _decimal_tail)(k, n, p, upper)
 
 
 class TestReducedCdfMap:
@@ -225,6 +304,38 @@ class TestClopperPearson:
     def test_no_successes_upper_closed_form(self):
         bound = clopper_pearson(SampleCounts(0, 50), 0.05, Side.UPPER)
         assert abs(bound - (1.0 - 0.05 ** (1.0 / 50.0))) < 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 50, 1000, 100_000, 1_000_000])
+    def test_conservative_and_tight_against_exact_tail(self, n):
+        # LOWER's tail P(X >= k) and UPPER's tail P(X <= k) at the bound are at
+        # most alpha, and 1e-9 further in they exceed it: the bound lies within
+        # 1e-9 relative of the exact quantile, on its safe side.
+        ks = {0, 1, 2, n // 3, n // 2, int(0.9 * n), n - 3, n - 1, n}
+        for k in sorted(k for k in ks if 0 <= k <= n):
+            for alpha in (1e-3, 0.05):
+                lower = clopper_pearson(SampleCounts(k, n), alpha, Side.LOWER)
+                upper = clopper_pearson(SampleCounts(k, n), alpha, Side.UPPER)
+                if k == 0:
+                    assert lower == 0.0
+                else:
+                    assert _exact_tail(k, n, lower, upper=True) <= Fraction(alpha)
+                    assert _exact_tail(k, n, lower * (1 + 1e-9), upper=True) > Fraction(alpha)
+                if k == n:
+                    assert upper == 1.0
+                else:
+                    assert _exact_tail(k, n, upper, upper=False) <= Fraction(alpha)
+                    assert _exact_tail(k, n, upper * (1 - 1e-9), upper=False) > Fraction(alpha)
+
+    def test_exact_tail_oracle_paths_agree(self):
+        for k, p in [(3, 0.1), (10, 0.3), (40, 0.7)]:
+            for upper in (True, False):
+                exact = _fraction_tail(k, 50, p, upper)
+                assert abs(_decimal_tail(k, 50, p, upper) - exact) <= exact * Fraction(1, 10**40)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for m in (1000, 2500):
+                stirling = _ln_factorial(m)
+                assert abs(stirling - Decimal(math.factorial(m)).ln()) < Decimal("1e-40")
 
     def test_matches_beta_quantile_oracle(self):
         # the standard beta-quantile closed form is an independent route

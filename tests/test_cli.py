@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -10,7 +12,8 @@ import pytest
 from smoothcert import ErrorBudget, RealisticConfig, write_tensor
 from smoothcert.cli import EXIT_ABSTAIN, EXIT_ERROR, EXIT_OK, main
 
-SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "smoothcert" / "schemas"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+SCHEMA_DIR = SRC_DIR / "smoothcert" / "schemas"
 
 
 def load_schema(name: str) -> dict:
@@ -308,3 +311,19 @@ class TestCompare:
         code, _, err = run(capsys, ["compare", "--dists", "cauchy"])
         assert code == EXIT_ERROR
         assert "unknown distributions" in err
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a quarter second of start-up; nothing needs it
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import smoothcert.cli; "
+        "print('scipy.stats' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(SRC_DIR)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from smoothcert import (
     Abstain,
@@ -124,6 +125,20 @@ class TestQuantileUpperConfidence:
             for _ in range(trials)
         )
         assert covered >= math.ceil((1.0 - alpha_e) * trials)
+
+
+    def test_order_statistic_index_matches_binomial_survival(self):
+        # the selected index is the smallest k with P(Bin(m, q) >= k) <= alpha,
+        # the same as scipy.stats' survival function picks
+        for q in (0.5, 0.75, 0.9, 0.95, 0.99):
+            for alpha in (1e-4, 1e-3, 0.01, 0.05, 0.2):
+                needed = min_samples_for_quantile_bound(q, alpha)
+                for m in sorted({needed, needed + 1, needed + 7, 2 * needed, 257, 1000, 5000}):
+                    if m < needed:
+                        continue
+                    k = int(np.argmax(binom.sf(np.arange(m), m, q) <= alpha)) + 1
+                    samples = np.arange(m, dtype=float)
+                    assert quantile_upper_confidence(samples, q, alpha) == k - 1
 
 
 class TestEstimateConversionError:
