@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .rng import SeededSampler
+from .rng import SeededSampler, _split
 
 __all__ = [
     "MultiCertProblem",
@@ -116,9 +116,15 @@ def _sorted_gamma(gamma: Sequence[float]) -> np.ndarray:
 def _exp_squares(sigma: float, n: int, mc_samples: int, sampler: SeededSampler) -> np.ndarray:
     """(mc_samples, n) draws of squared Rayleigh factors: Exp(mean 2 sigma^2)."""
     u = sampler.uniforms(mc_samples * n)
-    np.negative(u, out=u)
-    np.log1p(u, out=u)
-    u *= -2.0 * sigma * sigma
+    scale = -2.0 * sigma * sigma
+
+    def transform(lo: int, hi: int) -> None:
+        chunk = u[lo:hi]
+        np.negative(chunk, out=chunk)
+        np.log1p(chunk, out=chunk)
+        chunk *= scale
+
+    _split(transform, u.size)
     return u.reshape(mc_samples, n)
 
 

@@ -269,10 +269,7 @@ def estimate_conversion_error(
     law = dist or rayleigh()
     betas = law.sample(SeededSampler(seed), len(tensors))
     grid = np.linspace(lo, hi, grid_points)
-    maxima = [
-        max(conversion_error(x, float(beta), float(g)) for g in grid)
-        for x, beta in zip(tensors, betas)
-    ]
+    maxima = [conversion_error(x, float(beta), grid).max() for x, beta in zip(tensors, betas)]
     return quantile_upper_confidence(maxima, q_E, alpha_E)
 
 

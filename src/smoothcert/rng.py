@@ -5,12 +5,19 @@ counter-based generator (Philox).  A draw is addressed by the triple
 ``(seed, stream_index, draw_index)``: the value at a given address never
 depends on how many draws were made before it, or on how the index range is
 partitioned across workers.  That makes parallel Monte-Carlo runs bit-for-bit
-reproducible.
+reproducible, and it is what lets large fills run in parallel here: each
+usable core fills one contiguous chunk of the index range from its own
+generator advanced to the chunk's first block, and the result is the same
+bits as one sequential fill.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +31,78 @@ _WORDS_PER_BLOCK = 4
 # sit on the support boundary).
 _MIN_UNIFORM = 2.0**-64
 
+# Below this many elements a split costs more than it saves.
+_SPLIT_MIN = 2**15
+# Chunk starts are multiples of 8 doubles: whole Philox blocks, and 64-byte
+# boundaries, so vectorised kernels meet every element in the same lane.
+_CHUNK_ALIGN = 8
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return 1
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool object but none of its threads.
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _split(kernel: Callable[[int, int], None], size: int) -> None:
+    """Runs ``kernel(lo, hi)`` over a partition of ``range(size)``.
+
+    One contiguous chunk per usable core.  The calling thread runs the first
+    chunk, then any chunk no pool worker has started yet, so a worker that is
+    slow to start (another thread holds its core) does not hold the caller
+    up.  Small sizes, or one core, run inline.  The kernel must write disjoint
+    slices and call no smoothcert function, so that per-call instrumentation
+    (such as ``perfbench``'s span tracer) only ever sees the calling thread.
+    An exception from any chunk is raised only once every chunk that started
+    has finished.
+    """
+    global _pool
+    cores = _usable_cores()
+    if cores < 2 or size < _SPLIT_MIN:
+        kernel(0, size)
+        return
+    step = -(-size // (cores * _CHUNK_ALIGN)) * _CHUNK_ALIGN
+    chunks = [(lo, min(lo + step, size)) for lo in range(step, size, step)]
+    claims = [threading.Lock() for _ in chunks]
+
+    def claim_and_run(index: int) -> None:
+        if claims[index].acquire(blocking=False):
+            kernel(*chunks[index])
+
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(cores - 1, thread_name_prefix="smoothcert-split")
+        pool = _pool
+    futures = [pool.submit(claim_and_run, index) for index in range(len(chunks))]
+    try:
+        kernel(0, step)
+        for index in reversed(range(len(chunks))):
+            claim_and_run(index)
+    finally:
+        # Tasks still queued have nothing left to run; wait for the others.
+        started = [future for future in futures if not future.cancel()]
+        wait(started)
+        # Pool threads drop their tasks only after this call returns; drop the
+        # kernel here so that they do not keep its buffers alive.
+        kernel = None
+    for future in started:
+        future.result()
+
 
 @dataclass(frozen=True)
 class SeededSampler:
@@ -31,7 +110,9 @@ class SeededSampler:
 
     ``seed`` selects the experiment, ``stream_index`` an independent substream
     within it.  Instances hold no mutable state; concurrent use is safe and
-    draw-index ranges may be handed to workers in any partition.
+    draw-index ranges may be handed to workers in any partition.  Large
+    :meth:`uniforms` calls are filled that way, chunk by chunk on pool
+    workers, and the partition guarantee makes the result exact.
     """
 
     seed: int
@@ -60,7 +141,14 @@ class SeededSampler:
             raise ValueError(f"start must be nonnegative, got {start}")
         block, offset = divmod(start, _WORDS_PER_BLOCK)
         key = np.array([self.seed, self.stream_index], dtype=np.uint64)
-        bitgen = np.random.Philox(key=key)
-        bitgen.advance(block)
-        u = np.random.Generator(bitgen).random(offset + count)[offset:]
-        return np.maximum(u, _MIN_UNIFORM, out=u)
+        buf = np.empty(offset + count)
+
+        def fill(lo: int, hi: int) -> None:
+            bitgen = np.random.Philox(key=key)
+            bitgen.advance(block + lo // _WORDS_PER_BLOCK)
+            chunk = buf[lo:hi]
+            np.random.Generator(bitgen).random(out=chunk)
+            np.maximum(chunk, _MIN_UNIFORM, out=chunk)
+
+        _split(fill, buf.size)
+        return buf[offset:]

@@ -93,25 +93,56 @@ def quantize8(x) -> np.ndarray:
     Idempotent; the rounding rule matters because conversion-error values
     depend on it (entries are nonnegative, so away-from-zero is floor(v+1/2)).
     """
-    arr = validate_image(x)
-    return np.floor(arr * 255.0 + 0.5) / 255.0
+    return _snap8(validate_image(x).copy())
 
 
-def conversion_error_diff(x, beta: float, gamma: float) -> np.ndarray:
+def _snap8(a: np.ndarray) -> np.ndarray:
+    """:func:`quantize8` in place on an array already known to lie in [0, 1]."""
+    a *= 255.0
+    a += 0.5
+    np.floor(a, out=a)
+    a /= 255.0
+    return a
+
+
+def conversion_error_diff(x, beta: float, gamma) -> np.ndarray:
     """Raw difference between the 8-bit transform path and the ideal composite.
 
     The quantized path stores the attacked image at 8 bits, applies the
     smoothing factor, and stores again: q(q(x^gamma)^beta).  The reference is
-    the unquantized composite x^(beta*gamma).
+    the unquantized composite x^(beta*gamma).  A 1-D array of attack factors
+    ``gamma`` gives one row per factor, shape ``(len(gamma),) + x.shape``.
     """
-    quantized = quantize8(gamma_correct(quantize8(gamma_correct(x, gamma)), beta))
-    ideal = gamma_correct(x, beta * gamma)
-    return quantized - ideal
+    if not beta > 0.0:
+        raise ValueError(f"smoothing factor must be positive, got {beta}")
+    factors = np.asarray(gamma, dtype=float)
+    rows = np.atleast_1d(factors)
+    if rows.ndim != 1 or np.any(rows <= 0.0):
+        raise ValueError(f"attack factors must be positive, as a scalar or 1-D array, got {gamma!r}")
+    arr = validate_image(x)
+    # One scalar exponent per row: numpy takes x ** 0.5 as sqrt(x) and
+    # x ** 2.0 as x * x only for a scalar exponent, so a broadcast exponent
+    # array can differ in the last bit.
+    diff = np.empty((rows.size,) + arr.shape)
+    for row, g in zip(diff, rows):
+        np.power(arr, g, out=row)
+    _snap8(diff)
+    np.power(diff, beta, out=diff)
+    _snap8(diff)
+    for row, g in zip(diff, rows):
+        row -= np.power(arr, beta * g)
+    return diff if factors.ndim else diff[0]
 
 
-def conversion_error(x, beta: float, gamma: float) -> float:
-    """l2 magnitude of the 8-bit conversion error for factors (beta, gamma)."""
-    return float(np.linalg.norm(conversion_error_diff(x, beta, gamma)))
+def conversion_error(x, beta: float, gamma):
+    """l2 magnitude of the 8-bit conversion error for factors (beta, gamma).
+
+    A 1-D array of attack factors gives an array with one norm per factor.
+    """
+    diff = conversion_error_diff(x, beta, gamma)
+    if np.ndim(gamma) == 0:
+        return float(np.linalg.norm(diff))
+    return np.array([np.linalg.norm(row) for row in diff])
 
 
 def write_tensor(x, path) -> None:

@@ -201,12 +201,16 @@ class TestSampling:
 
 # sha256 of the raw float64 bytes of SeededSampler(seed, stream).uniforms(count,
 # start), recorded with numpy 2.4; any change to the stream must keep every bit.
-# Starts 5, 4094 and 6 are not multiples of the 4-word Philox block.
+# Starts 5, 4094 and 6 are not multiples of the 4-word Philox block; the
+# counts of 2**17 + 3 are large enough to be filled in parallel chunks.
 GOLDEN_UNIFORMS = [
     (0, 0, 1000, 0, "3606d59a0dcf7955d9a5b4fbbe4c12912bfd43dfbb4ab1a976d014f20e02b8c9"),
     (7, 3, 333, 5, "1f1b71eee1df518a0b7b8fbded3d6d83c0cef3e5cdd6f9d51cc2a7804408d570"),
     (2**64 - 1, 12, 17, 4094, "340578059f72b1158587cd3e2ffc57d760a5b0c88aa50705c893fe4c9eb14801"),
     (123, 0, 1, 6, "370d7f7b91168bd0ef4ed6095bd51e89cc14e21e7c93cbd5fc0c17c34766df24"),
+    (42, 1, 2**17 + 3, 0, "49362453ed10bad57bb68ff5f746f5628c664490e3da3070dbd9b36f0f67f2a5"),
+    (42, 1, 2**17 + 3, 5, "f9cc82627f5a8db7578fa659c979be94cd5ea5d8a245e9d783c54c87d8e77de7"),
+    (42, 1, 2**17 + 3, 2**40 + 7, "5ae0ae79872abbc2b3667bacc314180a25c0cca4afa85c3c4056e66366fa7fc4"),
 ]
 
 

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -145,6 +147,11 @@ class TestSolveThresholds:
         assert hashlib.sha256(squares.tobytes()).hexdigest() == (
             "8d2c6faa7b179e8f7fe4a875e31604ccb913c2cd2e3870469a21b93df4b242a1"
         )
+        # the benchmark's size, large enough to be transformed in parallel chunks
+        squares = _exp_squares(SIGMA, 2, 100_000, SeededSampler(17, 2))
+        assert hashlib.sha256(squares.tobytes()).hexdigest() == (
+            "9046d09fb2461cb33c265dc0ab972232c3c33587971cace911524a4e8e602a51"
+        )
 
 
 class TestInRobustRegion:
@@ -182,6 +189,37 @@ class TestInRobustRegion:
         accepted_low = {g for g in grid if in_robust_region(low, [g]).in_region}
         accepted_high = {g for g in grid if in_robust_region(high, [g]).in_region}
         assert accepted_low <= accepted_high
+
+    def test_concurrent_queries_match_serial(self):
+        # more calling threads than cores, all sharing the chunk worker pool
+        problem = make_problem(n=2, pa=0.85, pb=0.05, seed=44)
+        points = [(1.2, 0.9), (0.7, 1.3), (1.05, 1.0), (2.0, 0.6), (0.95, 0.97)]
+
+        def queries() -> list:
+            found = [in_robust_region(problem, p, stream_base=2 * i) for i, p in enumerate(points)]
+            return [(q.verdict, q.r, q.theta) for q in found]
+
+        serial = queries()
+        callers = 4
+        results: dict[int, list] = {}
+        barrier = threading.Barrier(callers)
+
+        def run(caller: int) -> None:
+            barrier.wait()
+            results[caller] = queries()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(c,)) for c in range(callers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [results[c] for c in range(callers)] == [serial] * callers
 
 
 class TestScanGammaGrid:

@@ -18,11 +18,13 @@ from smoothcert import (
     certify_rayleigh,
     certify_realistic,
     clopper_pearson,
+    conversion_error,
     error_budget,
     estimate_conversion_error,
     gaussian_l2_radius,
     min_samples_for_quantile_bound,
     quantile_upper_confidence,
+    rayleigh,
     smoothed_predict_certify,
 )
 from smoothcert.realistic import _gaussian_noise
@@ -172,11 +174,30 @@ class TestEstimateConversionError:
         assert E <= np.sqrt(x.size)
 
 
+@pytest.mark.parametrize("interval, seed", [((0.71, 1.33), 3), ((0.5, 2.0), 4), ((0.93, 1.07), 5)])
+def test_vectorised_grid_matches_scalar_path(interval, seed):
+    # one conversion_error call per tensor must reproduce every one of the
+    # 44 x 64 per-point errors, their maxima and E
+    rng = np.random.default_rng(seed)
+    tensors = [rng.uniform(0.0, 1.0, (3, 32, 32)) for _ in range(44)]
+    grid = np.linspace(*interval, 64)
+    betas = rayleigh().sample(SeededSampler(seed), len(tensors))
+    maxima = []
+    for x, beta in zip(tensors, betas):
+        scalar = [conversion_error(x, float(beta), float(g)) for g in grid]
+        vector = conversion_error(x, float(beta), grid)
+        assert vector.tolist() == scalar
+        maxima.append(max(scalar))
+    expected = quantile_upper_confidence(maxima, 0.9, 0.01)
+    assert estimate_conversion_error(tensors, interval, 0.9, 0.01, 64, seed=seed) == expected
+
+
 @pytest.mark.parametrize(
     "seed, stream, count, shape, sigma, digest",
     [
         (5, 2, 4, (3, 8, 8), 0.25, "bcc7d8553e4e0b154d385e8695d2d81f242d5ee957c16d7b2ca1248b9f9a160c"),
         (9, 7, 3, (1, 5, 7), 0.5, "302595a68a503be7fa226a305a55d8bfc18efd680b29e6ab94fc5c3c11d28c50"),
+        (8, 3, 50, (3, 32, 32), 4.0, "9cf5a4c7092ebdebfe79587514eb2a1fd5020454047cc13038335f1d53e264ba"),
     ],
 )
 def test_gaussian_noise_is_golden(seed, stream, count, shape, sigma, digest):

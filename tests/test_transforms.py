@@ -118,6 +118,32 @@ class TestConversionError:
         assert abs(np.linalg.norm(diff) - conversion_error(x, 0.7, 1.8)) < 1e-15
 
 
+    def test_factor_array_matches_scalar_path(self):
+        rng = np.random.default_rng(45)
+        x = rng.uniform(0.0, 1.0, size=(3, 5, 4))
+        # endpoints 0.5 and 2.0 hit numpy's special-cased scalar powers
+        factors = np.concatenate([np.linspace(0.5, 2.0, 7), rng.uniform(0.2, 5.0, 5)])
+        for beta in (0.5, 0.83, 1.0, 2.0):
+            rows = conversion_error_diff(x, beta, factors)
+            norms = conversion_error(x, beta, factors)
+            assert rows.shape == (factors.size,) + x.shape and norms.shape == factors.shape
+            for row, norm, gamma in zip(rows, norms, factors):
+                g = float(gamma)
+                stored = quantize8(gamma_correct(quantize8(gamma_correct(x, g)), beta))
+                reference = stored - gamma_correct(x, beta * g)
+                assert np.array_equal(row, reference)
+                assert np.array_equal(conversion_error_diff(x, beta, g), reference)
+                assert norm == conversion_error(x, beta, g) == float(np.linalg.norm(reference))
+        assert isinstance(conversion_error(x, 0.9, 1.1), float)
+
+    def test_factor_array_validation(self):
+        x = np.array([0.2, 0.7])
+        with pytest.raises(ValueError):
+            conversion_error(x, 0.9, np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            conversion_error(x, 0.9, np.array([1.1, 0.0]))
+
+
 class TestTensorFormat:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
