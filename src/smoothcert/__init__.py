@@ -7,11 +7,11 @@ from .certify import (
     ProbBounds,
     SampleCounts,
     Side,
+    certify_for,
     certify_from_counts,
     certify_inverse_rayleigh,
     certify_rayleigh,
     certify_rayleigh_closed_form,
-    certify_rayleigh_explicit,
     clopper_pearson,
     log_space_radius,
     reduced_cdf_map,
@@ -19,17 +19,12 @@ from .certify import (
 from .distributions import (
     Kind,
     RayleighParams,
-    ScaleTarget,
     SmoothingDistribution,
     inverse_rayleigh,
-    inverse_rayleigh_cdf,
     log_gaussian,
     log_laplace,
     log_uniform,
     rayleigh,
-    rayleigh_cdf,
-    rayleigh_quantile,
-    rayleigh_scale_for,
 )
 from .multicert import (
     McEstimate,
@@ -79,7 +74,6 @@ from .transforms import (
     gamma_correct_batch,
     quantize8,
     read_tensor,
-    scale_interpolate,
     validate_image,
     write_tensor,
 )

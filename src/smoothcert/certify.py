@@ -13,7 +13,8 @@ scale, so one certificate applies to every scale choice.  Also provided:
 exact one-sided Clopper-Pearson binomial bounds, computed as closed-form beta
 quantiles rounded outward so that they never claim more than the exact
 binomial tail allows; the reciprocal rule for smoothing with 1/Rayleigh
-factors; and log-space certified intervals for the symmetric baseline laws.
+factors; log-space certified intervals for the symmetric baseline laws; and
+:func:`certify_for`, the one dispatch from a smoothing law to its rule.
 """
 
 from __future__ import annotations
@@ -25,16 +26,11 @@ from dataclasses import dataclass
 from scipy.special import betainccinv, betaincinv, ndtri
 
 from .distributions import (
+    _LOG_KINDS,
     Kind,
-    RayleighParams,
     SmoothingDistribution,
     inverse_rayleigh,
-    log_gaussian,
-    log_laplace,
-    log_uniform,
     rayleigh,
-    rayleigh_cdf,
-    rayleigh_quantile,
 )
 
 __all__ = [
@@ -46,12 +42,12 @@ __all__ = [
     "SampleCounts",
     "reduced_cdf_map",
     "certify_rayleigh",
-    "certify_rayleigh_explicit",
     "certify_rayleigh_closed_form",
     "certify_inverse_rayleigh",
     "clopper_pearson",
     "certify_from_counts",
     "log_space_radius",
+    "certify_for",
 ]
 
 _GAMMA_TOL = 1e-12
@@ -254,30 +250,6 @@ def certify_rayleigh(bounds: ProbBounds) -> Certificate | Abstain:
     return _solve_gamma_pair(res_lo, res_hi, rayleigh().descriptor, bounds.confidence)
 
 
-def certify_rayleigh_explicit(bounds: ProbBounds, params: RayleighParams) -> Certificate | Abstain:
-    """Same certificate via the explicit CDF/quantile at a concrete scale.
-
-    Exists to witness scale invariance: results agree with
-    :func:`certify_rayleigh` to solver tolerance for any ``params``.
-    """
-    abstain = _check_open_bounds(bounds)
-    if abstain is not None:
-        return abstain
-    pa, pb = bounds.pa_lower, bounds.pb_upper
-    q_pa = rayleigh_quantile(params, pa)
-    q_pb = rayleigh_quantile(params, pb)
-    q_not_pa = rayleigh_quantile(params, 1.0 - pa)
-    q_not_pb = rayleigh_quantile(params, 1.0 - pb)
-
-    def res_hi(g: float) -> float:
-        return rayleigh_cdf(params, q_pa / g) + rayleigh_cdf(params, q_not_pb / g) - 1.0
-
-    def res_lo(g: float) -> float:
-        return rayleigh_cdf(params, q_pb / g) + rayleigh_cdf(params, q_not_pa / g) - 1.0
-
-    return _solve_gamma_pair(res_lo, res_hi, f"rayleigh(sigma={params.sigma:g})", bounds.confidence)
-
-
 def certify_rayleigh_closed_form(pa_lower: float, confidence: float = 1.0) -> Certificate | Abstain:
     """Analytic certificate under the trivial runner-up bound pb = 1 - pa.
 
@@ -373,13 +345,6 @@ def certify_from_counts(
     return certify_rayleigh(bounds)
 
 
-_LOG_SPACE_FACTORIES = {
-    Kind.LOG_GAUSSIAN: log_gaussian,
-    Kind.LOG_LAPLACE: log_laplace,
-    Kind.LOG_UNIFORM: log_uniform,
-}
-
-
 def log_space_radius(
     kind: Kind,
     scale: float,
@@ -394,17 +359,17 @@ def log_space_radius(
     trivial runner-up; uniform on [-scale, scale]: scale*(pa - pb)), and the
     returned interval is (exp(-R), exp(R)).
     """
-    if kind not in _LOG_SPACE_FACTORIES:
+    if kind not in _LOG_KINDS:
         raise ValueError(f"not a log-space kind: {kind!r}")
     if not 0.0 < pa_lower < 1.0:
         raise ValueError(f"pa_lower must lie in (0, 1), got {pa_lower}")
     if not 0.0 <= pb_upper < 1.0:
         raise ValueError(f"pb_upper must lie in [0, 1), got {pb_upper}")
-    dist: SmoothingDistribution = _LOG_SPACE_FACTORIES[kind](scale)
+    dist = SmoothingDistribution(kind, scale)
 
     if kind is Kind.LOG_LAPLACE:
-        if pa_lower < 0.5:
-            return Abstain(f"pa_lower={pa_lower} < 1/2: no Laplace radius")
+        if pa_lower <= 0.5:
+            return Abstain(f"pa_lower={pa_lower} <= 1/2: no Laplace radius")
         radius = -scale * math.log(2.0 * (1.0 - pa_lower))
     else:
         if pa_lower <= pb_upper:
@@ -418,4 +383,23 @@ def log_space_radius(
 
     return Certificate(
         math.exp(-radius), math.exp(radius), Method.LOG_SPACE, dist.descriptor, confidence
+    )
+
+
+def certify_for(dist: SmoothingDistribution, bounds: ProbBounds) -> Certificate | Abstain:
+    """The certificate rule of the smoothing law ``dist`` applied to ``bounds``.
+
+    The one place a :class:`Kind` meets its rule: the Rayleigh bisection, the
+    reciprocal rule, or the log-space radius (defined for base e only).  The
+    Rayleigh certificates are scale-free, so only the log-space radius reads
+    ``dist.scale``.
+    """
+    if dist.kind is Kind.RAYLEIGH:
+        return certify_rayleigh(bounds)
+    if dist.kind is Kind.INVERSE_RAYLEIGH:
+        return certify_inverse_rayleigh(bounds)
+    if not math.isclose(dist.log_base, math.e):
+        raise ValueError("log-space certification is only defined for base e")
+    return log_space_radius(
+        dist.kind, dist.scale, bounds.pa_lower, bounds.pb_upper, bounds.confidence
     )

@@ -30,16 +30,15 @@ from .certify import (
     Abstain,
     Certificate,
     ProbBounds,
-    certify_inverse_rayleigh,
+    certify_for,
     certify_rayleigh,
-    log_space_radius,
 )
 from .distributions import (
+    _LOG_KINDS,
     Kind,
     RayleighParams,
     SmoothingDistribution,
-    inverse_rayleigh,
-    rayleigh,
+    log_gaussian,
 )
 from .realistic import ErrorBudget, RealisticConfig, certify_realistic, estimate_conversion_error
 from .runtime import (
@@ -69,8 +68,9 @@ TABLE_BOUND_PAIRS = [
     (0.999, 0.001),
 ]
 
-_DIST_CHOICES = ["rayleigh", "inv-rayleigh", "log-gaussian", "log-laplace", "log-uniform"]
-_LOG_KINDS = {
+_DIST_KINDS = {
+    "rayleigh": Kind.RAYLEIGH,
+    "inv-rayleigh": Kind.INVERSE_RAYLEIGH,
     "log-gaussian": Kind.LOG_GAUSSIAN,
     "log-laplace": Kind.LOG_LAPLACE,
     "log-uniform": Kind.LOG_UNIFORM,
@@ -134,12 +134,11 @@ def _emit_csv(header: list[str], rows: list[list], out: str | None, manifest: di
 
 
 def _smoothing_distribution(name: str, scale: float | None) -> SmoothingDistribution:
-    if name == "rayleigh":
-        return rayleigh(RayleighParams(scale) if scale else None)
-    if name == "inv-rayleigh":
-        return inverse_rayleigh(RayleighParams(scale) if scale else None)
-    kind = _LOG_KINDS[name]
-    return SmoothingDistribution(kind, scale if scale else 1.0)
+    """The law named ``name``; no scale means unit-median sigma, or 1.0 in log space."""
+    kind = _DIST_KINDS[name]
+    if scale is None:
+        scale = 1.0 if kind in _LOG_KINDS else RayleighParams.unit_median().sigma
+    return SmoothingDistribution(kind, scale)
 
 
 # --- table ------------------------------------------------------------------
@@ -184,14 +183,7 @@ def cmd_cert(args: argparse.Namespace) -> int:
     else:
         raise ValueError("either --pb or --trivial-pb is required")
 
-    if args.dist in _LOG_KINDS:
-        outcome = log_space_radius(_LOG_KINDS[args.dist], args.scale or 1.0, args.pa, pb)
-    else:
-        bounds = ProbBounds(args.pa, pb)
-        if args.dist == "inv-rayleigh":
-            outcome = certify_inverse_rayleigh(bounds)
-        else:
-            outcome = certify_rayleigh(bounds)
+    outcome = certify_for(_smoothing_distribution(args.dist, args.scale), ProbBounds(args.pa, pb))
 
     config = {
         "pa": args.pa,
@@ -374,9 +366,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     """
     started = time.perf_counter()
     dists = [d.strip() for d in args.dists.split(",") if d.strip()]
-    unknown = [d for d in dists if d not in _DIST_CHOICES]
+    unknown = [d for d in dists if d not in _DIST_KINDS]
     if unknown:
-        raise ValueError(f"unknown distributions: {unknown} (choose from {_DIST_CHOICES})")
+        raise ValueError(f"unknown distributions: {unknown} (choose from {list(_DIST_KINDS)})")
     pa_grid = _parse_pa_grid(args.pa_grid)
 
     rows = []
@@ -386,20 +378,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
         pb = 1.0 - pa
         rayleigh_cert: Certificate | None = None
         for name in dists:
-            if name in _LOG_KINDS:
-                outcome = log_space_radius(_LOG_KINDS[name], args.scale, pa, pb)
-            elif name == "inv-rayleigh":
-                outcome = certify_inverse_rayleigh(ProbBounds(pa, pb))
-            else:
-                outcome = certify_rayleigh(ProbBounds(pa, pb))
-                if isinstance(outcome, Certificate):
-                    rayleigh_cert = outcome
-            scale = args.scale if name in _LOG_KINDS else rayleigh().scale
-            rows.append(_compare_row(pa, name, scale, outcome))
+            # --scale sets the log-space laws only; the Rayleigh ones stay unit-median
+            scale = args.scale if _DIST_KINDS[name] in _LOG_KINDS else None
+            dist = _smoothing_distribution(name, scale)
+            outcome = certify_for(dist, ProbBounds(pa, pb))
+            if dist.kind is Kind.RAYLEIGH and isinstance(outcome, Certificate):
+                rayleigh_cert = outcome
+            rows.append(_compare_row(pa, name, dist.scale, outcome))
         if args.matched and rayleigh_cert is not None and pa > 0.5:
             # scale matching the log-Gaussian right endpoint to the direct one
             matched_scale = math.log(rayleigh_cert.gamma2) / float(ndtri(pa))
-            outcome = log_space_radius(Kind.LOG_GAUSSIAN, matched_scale, pa, pb)
+            outcome = certify_for(log_gaussian(matched_scale), ProbBounds(pa, pb))
             rows.append(_compare_row(pa, "log-gaussian-matched", matched_scale, outcome))
 
     manifest = _manifest(
@@ -449,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pa", type=float, required=True, help="lower bound on the top-class probability")
     p.add_argument("--pb", type=float, help="upper bound on the runner-up probability")
     p.add_argument("--trivial-pb", action="store_true", help="use pb = 1 - pa")
-    p.add_argument("--dist", choices=_DIST_CHOICES, default="rayleigh")
+    p.add_argument("--dist", choices=list(_DIST_KINDS), default="rayleigh")
     p.add_argument("--scale", type=float, help="distribution scale (defaults: unit-median sigma / 1.0)")
     p.add_argument("--json", action="store_true", help="emit a JSON report instead of plain text")
     p.set_defaults(func=cmd_cert)
@@ -461,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n0", type=int, default=100, help="selection sample count")
     p.add_argument("--alpha", type=float, required=True, help="mistake probability budget")
     p.add_argument("--seed", type=int, help=f"seed (default: ${_SEED_ENV} or 0)")
-    p.add_argument("--dist", choices=_DIST_CHOICES, default="rayleigh")
+    p.add_argument("--dist", choices=list(_DIST_KINDS), default="rayleigh")
     p.add_argument("--scale", type=float)
     p.add_argument("--sweep", action="store_true", help="also walk the empirical robustness interval")
     p.add_argument("--step", type=float, default=0.01, help="sweep step")

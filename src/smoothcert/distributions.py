@@ -20,7 +20,6 @@ from .rng import SeededSampler
 
 __all__ = [
     "RayleighParams",
-    "ScaleTarget",
     "Kind",
     "SmoothingDistribution",
     "rayleigh",
@@ -28,17 +27,7 @@ __all__ = [
     "log_gaussian",
     "log_laplace",
     "log_uniform",
-    "rayleigh_cdf",
-    "rayleigh_quantile",
-    "inverse_rayleigh_cdf",
-    "rayleigh_scale_for",
-    "UNIT_MEDIAN_SIGMA",
-    "UNIT_MEAN_SIGMA",
 ]
-
-# Rayleigh median is sigma * sqrt(2 ln 2), mean is sigma * sqrt(pi / 2).
-UNIT_MEDIAN_SIGMA = 1.0 / math.sqrt(2.0 * math.log(2.0))
-UNIT_MEAN_SIGMA = math.sqrt(2.0 / math.pi)
 
 
 @dataclass(frozen=True)
@@ -53,54 +42,13 @@ class RayleighParams:
 
     @classmethod
     def unit_median(cls) -> "RayleighParams":
-        """Scale placing the median at 1, the default centering."""
-        return cls(UNIT_MEDIAN_SIGMA)
+        """Scale placing the median sigma * sqrt(2 ln 2) at 1, the default centering."""
+        return cls(1.0 / math.sqrt(2.0 * math.log(2.0)))
 
     @classmethod
     def unit_mean(cls) -> "RayleighParams":
-        """Scale placing the mean at 1."""
-        return cls(UNIT_MEAN_SIGMA)
-
-
-class ScaleTarget(enum.Enum):
-    UNIT_MEDIAN = "unit_median"
-    UNIT_MEAN = "unit_mean"
-
-
-def rayleigh_scale_for(target: ScaleTarget) -> RayleighParams:
-    """Rayleigh scale whose median (or mean) equals the identity factor 1."""
-    if target is ScaleTarget.UNIT_MEDIAN:
-        return RayleighParams.unit_median()
-    if target is ScaleTarget.UNIT_MEAN:
-        return RayleighParams.unit_mean()
-    raise ValueError(f"unknown scale target: {target!r}")
-
-
-def rayleigh_cdf(params: RayleighParams, z):
-    """P(beta <= z) = 1 - exp(-z^2 / (2 sigma^2)) for z >= 0."""
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr < 0.0):
-        raise ValueError("rayleigh_cdf requires z >= 0")
-    out = -np.expm1(-(z_arr * z_arr) / (2.0 * params.sigma**2))
-    return float(out) if np.isscalar(z) else out
-
-
-def rayleigh_quantile(params: RayleighParams, p):
-    """Inverse CDF: sigma * sqrt(-2 ln(1 - p)) for p in [0, 1)."""
-    p_arr = np.asarray(p, dtype=float)
-    if np.any((p_arr < 0.0) | (p_arr >= 1.0)):
-        raise ValueError("rayleigh_quantile requires 0 <= p < 1")
-    out = params.sigma * np.sqrt(-2.0 * np.log1p(-p_arr))
-    return float(out) if np.isscalar(p) else out
-
-
-def inverse_rayleigh_cdf(params: RayleighParams, z):
-    """P(1/beta <= z) = P(beta >= 1/z) = exp(-1 / (2 sigma^2 z^2)) for z > 0."""
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr <= 0.0):
-        raise ValueError("inverse_rayleigh_cdf requires z > 0")
-    out = np.exp(-1.0 / (2.0 * params.sigma**2 * z_arr * z_arr))
-    return float(out) if np.isscalar(z) else out
+        """Scale placing the mean sigma * sqrt(pi / 2) at 1."""
+        return cls(math.sqrt(2.0 / math.pi))
 
 
 class Kind(enum.Enum):
@@ -148,8 +96,8 @@ class SmoothingDistribution:
         """P(Z <= z); 0 below the support, approaching 1 at +inf."""
         z_arr = np.asarray(z, dtype=float)
         if self.kind is Kind.RAYLEIGH:
-            out = np.asarray(rayleigh_cdf(RayleighParams(self.scale), np.maximum(z_arr, 0.0)))
-            out = np.where(z_arr < 0.0, 0.0, out)
+            zpos = np.maximum(z_arr, 0.0)
+            out = np.where(z_arr < 0.0, 0.0, -np.expm1(-(zpos * zpos) / (2.0 * self.scale**2)))
         elif self.kind is Kind.INVERSE_RAYLEIGH:
             with np.errstate(divide="ignore"):
                 out = np.where(
@@ -168,7 +116,7 @@ class SmoothingDistribution:
         if np.any((p_arr < 0.0) | (p_arr >= 1.0)):
             raise ValueError("quantile requires 0 <= p < 1")
         if self.kind is Kind.RAYLEIGH:
-            out = np.asarray(rayleigh_quantile(RayleighParams(self.scale), p_arr))
+            out = self.scale * np.sqrt(-2.0 * np.log1p(-p_arr))
         elif self.kind is Kind.INVERSE_RAYLEIGH:
             with np.errstate(divide="ignore"):
                 out = np.where(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,10 +28,9 @@ from .certify import (
     ProbBounds,
     SampleCounts,
     Side,
-    certify_inverse_rayleigh,
+    certify_for,
     certify_rayleigh_closed_form,
     clopper_pearson,
-    log_space_radius,
 )
 from .distributions import Kind, SmoothingDistribution, rayleigh
 from .rng import SeededSampler
@@ -73,9 +71,6 @@ class BaseClassifier(ABC):
     @abstractmethod
     def descriptor(self) -> str:
         """Short human-readable identity for reports."""
-
-    def label(self, x: np.ndarray) -> int:
-        return int(self.labels(np.asarray(x, dtype=float)[np.newaxis, ...])[0])
 
 
 @dataclass(frozen=True)
@@ -247,17 +242,6 @@ def _modal_label(labels: np.ndarray) -> int:
     return int(np.argmax(counts))  # ties resolve to the lowest class index
 
 
-def _certificate_for(dist: SmoothingDistribution, pa_lower: float, confidence: float):
-    """Trivial-runner-up certificate matched to the smoothing law in use."""
-    if dist.kind is Kind.RAYLEIGH:
-        return certify_rayleigh_closed_form(pa_lower, confidence)
-    if dist.kind is Kind.INVERSE_RAYLEIGH:
-        return certify_inverse_rayleigh(ProbBounds.with_trivial_pb(pa_lower, confidence))
-    if not math.isclose(dist.log_base, math.e):
-        raise ValueError("log-space certification is only defined for base e")
-    return log_space_radius(dist.kind, dist.scale, pa_lower, 1.0 - pa_lower, confidence)
-
-
 def smoothed_predict_certify(
     base: BaseClassifier,
     x: np.ndarray,
@@ -285,7 +269,11 @@ def smoothed_predict_certify(
     pa_lower = clopper_pearson(counts, cfg.alpha, Side.LOWER)
     if pa_lower <= 0.5:
         return PredictionResult(None, pa_lower, None, counts)
-    outcome = _certificate_for(cfg.dist, pa_lower, 1.0 - cfg.alpha)
+    confidence = 1.0 - cfg.alpha
+    if cfg.dist.kind is Kind.RAYLEIGH:  # the trivial runner-up bound has a closed form
+        outcome = certify_rayleigh_closed_form(pa_lower, confidence)
+    else:
+        outcome = certify_for(cfg.dist, ProbBounds.with_trivial_pb(pa_lower, confidence))
     if isinstance(outcome, Abstain):
         return PredictionResult(None, pa_lower, None, counts)
     return PredictionResult(candidate, pa_lower, outcome, counts)
@@ -315,9 +303,6 @@ class SmoothedClassifier:
         hits = int(np.sum(labels == candidate))
         pa_lower = clopper_pearson(SampleCounts(hits, self.cfg.n), self.cfg.alpha, Side.LOWER)
         return candidate if pa_lower > 0.5 else None
-
-    def reset(self) -> None:
-        self._calls = 0
 
 
 def empirical_sweep(

@@ -27,7 +27,6 @@ __all__ = [
     "conversion_error_diff",
     "read_tensor",
     "write_tensor",
-    "scale_interpolate",
 ]
 
 _MAGIC = b"MST1"
@@ -186,25 +185,3 @@ def read_tensor(path) -> np.ndarray:
         raise OutOfRangeError(f"{path}: entries outside [0, 1]")
     return arr.astype(float, copy=True)
 
-
-def scale_interpolate(x, ratio: float, order: int = 1) -> np.ndarray:
-    """Scale by ``ratio`` and re-scale back to the original shape.
-
-    Experimental transform stub: the round trip introduces an interpolation
-    error but no certification support is provided for it.
-    """
-    from scipy import ndimage
-
-    if not ratio > 0.0:
-        raise ValueError(f"scale ratio must be positive, got {ratio}")
-    arr = validate_image(x)
-    scaled = ndimage.zoom(arr, ratio, order=order, mode="nearest")
-    factors = [orig / cur for orig, cur in zip(arr.shape, scaled.shape)]
-    back = ndimage.zoom(scaled, factors, order=order, mode="nearest")
-    if back.shape != arr.shape:
-        # zoom can be off by one sample on extreme ratios; crop or pad edges.
-        slices = tuple(slice(0, min(a, b)) for a, b in zip(arr.shape, back.shape))
-        fixed = np.zeros_like(arr)
-        fixed[slices] = back[slices]
-        back = fixed
-    return np.clip(back, 0.0, 1.0)

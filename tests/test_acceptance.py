@@ -20,7 +20,6 @@ from smoothcert import (
     RayleighParams,
     RealisticConfig,
     SampleCounts,
-    ScaleTarget,
     Side,
     SmoothedClassifier,
     SmoothingConfig,
@@ -29,7 +28,6 @@ from smoothcert import (
     certify_inverse_rayleigh,
     certify_rayleigh,
     certify_rayleigh_closed_form,
-    certify_rayleigh_explicit,
     certify_realistic,
     clopper_pearson,
     empirical_sweep,
@@ -39,11 +37,12 @@ from smoothcert import (
     in_robust_region,
     quantile_upper_confidence,
     rayleigh,
-    rayleigh_scale_for,
     smoothed_predict_certify,
     solve_thresholds,
 )
 from smoothcert.cli import main
+
+from explicit_rayleigh import certify_rayleigh_explicit
 
 UNIT_MEDIAN_SIGMA = RayleighParams.unit_median().sigma
 EXP_SCALE = 2.0 * UNIT_MEDIAN_SIGMA**2  # squared factors are Exp with this mean
@@ -242,8 +241,8 @@ def test_conversion_error_bound_properties():
 
 def test_scale_constants():
     """Unit-median sigma = 0.84932 and unit-mean sigma = 0.79788 within 1e-4."""
-    assert abs(rayleigh_scale_for(ScaleTarget.UNIT_MEDIAN).sigma - 0.84932) < 1e-4
-    assert abs(rayleigh_scale_for(ScaleTarget.UNIT_MEAN).sigma - 0.79788) < 1e-4
+    assert abs(RayleighParams.unit_median().sigma - 0.84932) < 1e-4
+    assert abs(RayleighParams.unit_mean().sigma - 0.79788) < 1e-4
 
 
 def test_reciprocal_certificates():

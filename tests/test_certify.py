@@ -17,17 +17,19 @@ from smoothcert import (
     RayleighParams,
     SampleCounts,
     Side,
+    SmoothingDistribution,
+    certify_for,
     certify_from_counts,
     certify_inverse_rayleigh,
     certify_rayleigh,
     certify_rayleigh_closed_form,
-    certify_rayleigh_explicit,
     clopper_pearson,
     log_space_radius,
-    rayleigh_cdf,
-    rayleigh_quantile,
+    rayleigh,
     reduced_cdf_map,
 )
+
+from explicit_rayleigh import certify_rayleigh_explicit
 
 # Reference grid of bound pairs with their certified intervals at two decimals.
 REFERENCE_ROWS = [
@@ -149,8 +151,8 @@ class TestReducedCdfMap:
         st.floats(min_value=0.1, max_value=3.0),
     )
     def test_matches_explicit_composite_for_any_scale(self, gamma, q, sigma):
-        params = RayleighParams(sigma)
-        explicit = rayleigh_cdf(params, rayleigh_quantile(params, q) / gamma)
+        dist = rayleigh(RayleighParams(sigma))
+        explicit = dist.cdf(dist.quantile(q) / gamma)
         assert abs(reduced_cdf_map(gamma, q) - explicit) < 1e-12
 
 
@@ -415,6 +417,11 @@ class TestLogSpaceRadius:
     def test_laplace_abstains_below_half(self):
         assert isinstance(log_space_radius(Kind.LOG_LAPLACE, 1.0, 0.45, 0.55), Abstain)
 
+    def test_laplace_abstains_at_half(self):
+        # radius -ln(2 (1 - pa)) is 0 at pa = 1/2: the degenerate interval (1, 1)
+        assert isinstance(log_space_radius(Kind.LOG_LAPLACE, 1.0, 0.5, 0.5), Abstain)
+        assert isinstance(log_space_radius(Kind.LOG_LAPLACE, 1.0, 0.5, 0.05), Abstain)
+
     def test_rejects_direct_kinds(self):
         with pytest.raises(ValueError):
             log_space_radius(Kind.RAYLEIGH, 1.0, 0.9, 0.1)
@@ -446,6 +453,43 @@ class TestLogSpaceRadius:
         for delta, expect_robust in [(0.97 * radius, True), (1.03 * radius, False)]:
             worst = _np_worst_case(pdf, grid, pa, delta)
             assert (worst > 0.5) == expect_robust
+
+
+def _log_space_rule(dist, bounds):
+    return log_space_radius(dist.kind, dist.scale, bounds.pa_lower, bounds.pb_upper, bounds.confidence)
+
+
+# The rule of each law, called directly; a Kind missing here fails the dispatch test.
+DIRECT_RULES = {
+    Kind.RAYLEIGH: lambda dist, bounds: certify_rayleigh(bounds),
+    Kind.INVERSE_RAYLEIGH: lambda dist, bounds: certify_inverse_rayleigh(bounds),
+    Kind.LOG_GAUSSIAN: _log_space_rule,
+    Kind.LOG_LAPLACE: _log_space_rule,
+    Kind.LOG_UNIFORM: _log_space_rule,
+}
+
+
+class TestCertifyFor:
+    @pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
+    @pytest.mark.parametrize(
+        "pa,pb,confidence",
+        [(0.9, 0.1, 1.0), (0.7, 0.2, 0.99), (0.6, 0.4, 0.95), (0.999, 0.0005, 0.999), (0.45, 0.5, 1.0)],
+    )
+    @pytest.mark.parametrize("scale", [0.4, 1.0, 2.5])
+    def test_matches_the_direct_rule(self, kind, pa, pb, confidence, scale):
+        dist = SmoothingDistribution(kind, scale)
+        bounds = ProbBounds(pa, pb, confidence)
+        outcome = certify_for(dist, bounds)
+        expected = DIRECT_RULES[kind](dist, bounds)
+        assert type(outcome) is type(expected)
+        # method, distribution, confidence and bit-equal endpoints (all positive)
+        assert outcome == expected
+
+    @pytest.mark.parametrize("kind", [Kind.LOG_GAUSSIAN, Kind.LOG_LAPLACE, Kind.LOG_UNIFORM])
+    @pytest.mark.parametrize("base", [2.0, 10.0])
+    def test_log_space_rejects_other_bases(self, kind, base):
+        with pytest.raises(ValueError, match="base e"):
+            certify_for(SmoothingDistribution(kind, 1.0, base), ProbBounds(0.9, 0.1))
 
 
 def _np_worst_case(pdf, grid, pa, delta) -> float:
@@ -491,7 +535,7 @@ class TestCertificateType:
 class TestOracleSoundness:
     def test_exact_probability_stays_above_half_inside(self):
         # single-pixel threshold rule admits an exact smoothed probability
-        params = RayleighParams.unit_median()
+        dist = rayleigh(RayleighParams.unit_median())
         rng = np.random.default_rng(13)
         for _ in range(20):
             v = rng.uniform(0.05, 0.95)
@@ -499,9 +543,9 @@ class TestOracleSoundness:
             beta_star = math.log(t) / math.log(v)
             if beta_star <= 0:
                 continue
-            pa = rayleigh_cdf(params, beta_star)
+            pa = dist.cdf(beta_star)
             if pa <= 0.5 + 1e-6 or pa >= 1.0 - 1e-12:
                 continue
             cert = certify_rayleigh_closed_form(pa)
             for gamma in np.linspace(cert.gamma1, cert.gamma2, 102)[1:-1]:
-                assert rayleigh_cdf(params, beta_star / gamma) > 0.5
+                assert dist.cdf(beta_star / gamma) > 0.5

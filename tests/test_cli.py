@@ -87,6 +87,19 @@ class TestCert:
             main(["cert", "--pa", "0.9", "--nonsense"])
         assert excinfo.value.code == EXIT_ERROR
 
+    @pytest.mark.parametrize("dist", ["rayleigh", "inv-rayleigh", "log-gaussian", "log-laplace", "log-uniform"])
+    @pytest.mark.parametrize("scale", ["0", "-3"])
+    def test_nonpositive_scale_exits_one(self, capsys, dist, scale):
+        code, out, err = run(capsys, ["cert", "--pa", "0.9", "--trivial-pb", "--dist", dist, "--scale", scale])
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "scale" in err
+
+    def test_log_laplace_abstains_at_half(self, capsys):
+        code, out, _ = run(capsys, ["cert", "--pa", "0.5", "--trivial-pb", "--dist", "log-laplace"])
+        assert code == EXIT_ABSTAIN
+        assert out.startswith("abstain:")
+
     def test_log_space_distributions(self, capsys):
         code, out, _ = run(capsys, ["cert", "--pa", "0.9", "--trivial-pb", "--dist", "log-laplace", "--json"])
         assert code == EXIT_OK
@@ -166,6 +179,22 @@ class TestSmooth:
         cert = json.loads(out)["result"]["certificate"]
         assert cert["method"] == "reciprocal"
         assert cert["gamma1"] < 1.0 < cert["gamma2"]
+
+    @pytest.mark.parametrize("dist", ["rayleigh", "inv-rayleigh", "log-gaussian", "log-laplace", "log-uniform"])
+    @pytest.mark.parametrize("scale", ["0", "-3"])
+    def test_nonpositive_scale_exits_one(self, capsys, oracle_workspace, dist, scale):
+        code, out, err = run(
+            capsys,
+            [
+                "smooth",
+                "--input", str(oracle_workspace / "x.mst1"),
+                "--classifier", str(oracle_workspace / "oracle.json"),
+                "--n", "1000", "--alpha", "0.01", "--dist", dist, "--scale", scale,
+            ],
+        )
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "scale" in err
 
     def test_env_seed_default(self, capsys, oracle_workspace, monkeypatch):
         monkeypatch.setenv("SMOOTHCERT_SEED", "123")

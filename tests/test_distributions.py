@@ -11,21 +11,18 @@ from scipy.stats import kstest
 from smoothcert import (
     Kind,
     RayleighParams,
-    ScaleTarget,
     SeededSampler,
     SmoothingDistribution,
     inverse_rayleigh,
-    inverse_rayleigh_cdf,
     log_gaussian,
     log_laplace,
     log_uniform,
     rayleigh,
-    rayleigh_cdf,
-    rayleigh_quantile,
-    rayleigh_scale_for,
 )
 
 UNIT_MEDIAN = RayleighParams.unit_median()
+RAYLEIGH = rayleigh(UNIT_MEDIAN)
+INVERSE_RAYLEIGH = inverse_rayleigh(UNIT_MEDIAN)
 
 ALL_KINDS = [
     rayleigh(),
@@ -51,64 +48,61 @@ class TestRayleighParams:
             RayleighParams(bad)
 
     def test_scale_for_targets(self):
-        assert abs(rayleigh_scale_for(ScaleTarget.UNIT_MEDIAN).sigma - 0.84932) < 1e-4
-        assert abs(rayleigh_scale_for(ScaleTarget.UNIT_MEAN).sigma - 0.79788) < 1e-4
+        assert abs(RayleighParams.unit_median().sigma - 0.84932) < 1e-4
+        assert abs(RayleighParams.unit_mean().sigma - 0.79788) < 1e-4
 
     def test_unit_median_roundtrip(self):
-        params = rayleigh_scale_for(ScaleTarget.UNIT_MEDIAN)
-        assert abs(rayleigh_quantile(params, 0.5) - 1.0) < 1e-12
+        assert abs(rayleigh(RayleighParams.unit_median()).quantile(0.5) - 1.0) < 1e-12
 
 
 class TestRayleighCdfQuantile:
     def test_cdf_support_edge(self):
-        assert rayleigh_cdf(UNIT_MEDIAN, 0.0) == 0.0
+        assert RAYLEIGH.cdf(0.0) == 0.0
 
     def test_cdf_unit_median(self):
-        assert abs(rayleigh_cdf(UNIT_MEDIAN, 1.0) - 0.5) < 1e-15
+        assert abs(RAYLEIGH.cdf(1.0) - 0.5) < 1e-15
 
     def test_cdf_exponent_identity(self):
         # 1 - e^{-4 ln 2} = 1 - 1/16
-        assert abs(rayleigh_cdf(UNIT_MEDIAN, 2.0) - 0.9375) < 1e-15
+        assert abs(RAYLEIGH.cdf(2.0) - 0.9375) < 1e-15
 
-    def test_cdf_rejects_negative(self):
-        with pytest.raises(ValueError):
-            rayleigh_cdf(UNIT_MEDIAN, -0.1)
+    def test_cdf_zero_below_support(self):
+        assert RAYLEIGH.cdf(-0.1) == 0.0
 
     def test_quantile_examples(self):
-        assert abs(rayleigh_quantile(UNIT_MEDIAN, 0.5) - 1.0) < 1e-12
-        assert rayleigh_quantile(UNIT_MEDIAN, 0.0) == 0.0
-        assert abs(rayleigh_quantile(UNIT_MEDIAN, 0.9375) - 2.0) < 1e-12
+        assert abs(RAYLEIGH.quantile(0.5) - 1.0) < 1e-12
+        assert RAYLEIGH.quantile(0.0) == 0.0
+        assert abs(RAYLEIGH.quantile(0.9375) - 2.0) < 1e-12
 
     @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5])
     def test_quantile_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
-            rayleigh_quantile(UNIT_MEDIAN, bad)
+            RAYLEIGH.quantile(bad)
 
     @given(st.floats(min_value=1e-9, max_value=1.0 - 1e-12))
     def test_quantile_inverts_cdf(self, p):
-        assert abs(rayleigh_cdf(UNIT_MEDIAN, rayleigh_quantile(UNIT_MEDIAN, p)) - p) < 1e-9
+        assert abs(RAYLEIGH.cdf(RAYLEIGH.quantile(p)) - p) < 1e-9
 
 
 class TestInverseRayleigh:
     def test_unit_median_reciprocal(self):
-        assert abs(inverse_rayleigh_cdf(UNIT_MEDIAN, 1.0) - 0.5) < 1e-15
+        assert abs(INVERSE_RAYLEIGH.cdf(1.0) - 0.5) < 1e-15
 
     def test_upper_limit(self):
-        assert abs(inverse_rayleigh_cdf(UNIT_MEDIAN, 1e12) - 1.0) < 1e-9
+        assert abs(INVERSE_RAYLEIGH.cdf(1e12) - 1.0) < 1e-9
 
     def test_exponent_identity(self):
         # exp(-4 ln 2) = 1/16
-        assert abs(inverse_rayleigh_cdf(UNIT_MEDIAN, 0.5) - 0.0625) < 1e-15
+        assert abs(INVERSE_RAYLEIGH.cdf(0.5) - 0.0625) < 1e-15
 
-    @pytest.mark.parametrize("bad", [0.0, -2.0])
-    def test_rejects_nonpositive(self, bad):
-        with pytest.raises(ValueError):
-            inverse_rayleigh_cdf(UNIT_MEDIAN, bad)
+    @pytest.mark.parametrize("z", [0.0, -2.0])
+    def test_cdf_zero_off_support(self, z):
+        assert INVERSE_RAYLEIGH.cdf(z) == 0.0
 
     @given(st.floats(min_value=1e-3, max_value=1e3))
     def test_reciprocal_identity(self, z):
-        lhs = inverse_rayleigh_cdf(UNIT_MEDIAN, z)
-        rhs = 1.0 - rayleigh_cdf(UNIT_MEDIAN, 1.0 / z)
+        lhs = INVERSE_RAYLEIGH.cdf(z)
+        rhs = 1.0 - RAYLEIGH.cdf(1.0 / z)
         assert abs(lhs - rhs) < 1e-12
 
 

@@ -13,7 +13,7 @@ from smoothcert import (
     Verdict,
     certify_rayleigh,
     in_robust_region,
-    rayleigh_quantile,
+    rayleigh,
     scan_gamma_grid,
     solve_thresholds,
     weighted_expsum_cdf,
@@ -67,7 +67,7 @@ class TestWeightedExpsumCdf:
     def test_single_positive_coefficient_matches_exponential(self):
         g = 1.7
         c = 1.0 - g**-2
-        threshold = c * rayleigh_quantile(RayleighParams(SIGMA), 0.9) ** 2
+        threshold = c * rayleigh(RayleighParams(SIGMA)).quantile(0.9) ** 2
         est = weighted_expsum_cdf([c], SIGMA, threshold, 200_000, seed=4)
         exact = exponential_cdf(threshold / c, 2.0 * SIGMA**2)
         assert abs(exact - 0.9) < 1e-12

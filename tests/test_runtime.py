@@ -24,6 +24,11 @@ from smoothcert import (
 ORACLE = ThresholdOracle(pixel_value=0.5, threshold=0.25)
 
 
+def unsmoothed(base):
+    """Single-input predictor over a base classifier, for sweeps without smoothing."""
+    return lambda x: int(base.labels(np.asarray(x, dtype=float)[np.newaxis, ...])[0])
+
+
 def config(n=2000, alpha=0.01, seed=7, n0=100) -> SmoothingConfig:
     return SmoothingConfig(n=n, alpha=alpha, dist=rayleigh(), seed=seed, n0=n0)
 
@@ -137,26 +142,26 @@ class TestSmoothedPredictCertify:
 class TestEmpiricalSweep:
     def test_unsmoothed_oracle_flips_exactly_at_two(self):
         # 0.5**gamma < 0.25 first happens just above gamma = 2
-        interval = empirical_sweep(ORACLE.label, ORACLE.clean_input(), 0.01, 4.0)
+        interval = empirical_sweep(unsmoothed(ORACLE), ORACLE.clean_input(), 0.01, 4.0)
         left, right = interval
         assert right == 2.0
         assert abs(left - 0.01) < 1e-9
 
     def test_constant_classifier_spans_everything(self):
         handle = ConstantClassifier(0)
-        left, right = empirical_sweep(handle.label, np.array([0.5]), 0.01, 3.0)
+        left, right = empirical_sweep(unsmoothed(handle), np.array([0.5]), 0.01, 3.0)
         assert right == 3.0
         assert abs(left - 0.01) < 1e-9
 
     def test_wrong_at_identity_gives_empty(self):
-        assert empirical_sweep(ORACLE.label, ORACLE.clean_input(), 0.01, 3.0, expected_label=0) is None
+        assert empirical_sweep(unsmoothed(ORACLE), ORACLE.clean_input(), 0.01, 3.0, expected_label=0) is None
 
     def test_abstaining_handle_gives_empty(self):
         assert empirical_sweep(lambda x: None, np.array([0.5]), 0.1, 2.0) is None
 
     def test_step_validation(self):
         with pytest.raises(ValueError):
-            empirical_sweep(ORACLE.label, ORACLE.clean_input(), 0.0, 2.0)
+            empirical_sweep(unsmoothed(ORACLE), ORACLE.clean_input(), 0.0, 2.0)
 
     def test_smoothed_handle_contains_certificate(self):
         cfg = config(n=4000, alpha=0.01)

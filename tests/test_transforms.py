@@ -16,7 +16,6 @@ from smoothcert import (
     gamma_correct_batch,
     quantize8,
     read_tensor,
-    scale_interpolate,
     write_tensor,
 )
 
@@ -192,16 +191,3 @@ class TestTensorFormat:
     def test_write_rejects_out_of_range(self, tmp_path):
         with pytest.raises(OutOfRangeError):
             write_tensor(np.array([-0.1]), tmp_path / "neg.mst1")
-
-
-class TestScaleInterpolate:
-    def test_shape_and_range_preserved(self):
-        rng = np.random.default_rng(2)
-        x = rng.uniform(0.0, 1.0, size=(16, 16))
-        out = scale_interpolate(x, 0.5)
-        assert out.shape == x.shape
-        assert out.min() >= 0.0 and out.max() <= 1.0
-
-    def test_rejects_nonpositive_ratio(self):
-        with pytest.raises(ValueError):
-            scale_interpolate(np.full((4, 4), 0.5), 0.0)
