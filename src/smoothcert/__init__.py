@@ -8,7 +8,6 @@ from .certify import (
     SampleCounts,
     Side,
     certify_for,
-    certify_from_counts,
     certify_inverse_rayleigh,
     certify_rayleigh,
     certify_rayleigh_closed_form,
@@ -27,14 +26,12 @@ from .distributions import (
     rayleigh,
 )
 from .multicert import (
-    McEstimate,
     MultiCertProblem,
     RegionQuery,
     Verdict,
     in_robust_region,
     scan_gamma_grid,
     solve_thresholds,
-    weighted_expsum_cdf,
 )
 from .realistic import (
     ErrorBudget,

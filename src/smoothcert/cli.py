@@ -497,6 +497,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        scale = getattr(args, "scale", None)  # cert, smooth and compare take --scale
+        if scale is not None and not (scale > 0.0 and math.isfinite(scale)):
+            raise ValueError(f"--scale must be a positive finite real, got {scale}")
         return args.func(args)
     except (ValueError, OSError, TensorFormatError, json.JSONDecodeError, KeyError) as exc:
         print(f"smoothcert: error: {exc}", file=sys.stderr)

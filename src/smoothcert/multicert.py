@@ -30,10 +30,8 @@ from .rng import SeededSampler, _split
 
 __all__ = [
     "MultiCertProblem",
-    "McEstimate",
     "Verdict",
     "RegionQuery",
-    "weighted_expsum_cdf",
     "solve_thresholds",
     "in_robust_region",
     "scan_gamma_grid",
@@ -132,31 +130,6 @@ def _estimate(indicator: np.ndarray) -> McEstimate:
     p = float(indicator.mean())
     half = _Z99 * math.sqrt(p * (1.0 - p) / indicator.size)
     return McEstimate(p, half)
-
-
-def weighted_expsum_cdf(
-    coeffs: Sequence[float],
-    sigma: float,
-    threshold: float,
-    mc_samples: int,
-    seed: int,
-    stream_index: int = 0,
-) -> McEstimate:
-    """Monte-Carlo estimate of P(sum_i c_i * beta_i^2 <= threshold).
-
-    Deterministic in ``(seed, stream_index)``.  An all-zero coefficient vector
-    degenerates to a point mass at 0 and is answered exactly.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 1 or c.size < 1:
-        raise ValueError(f"coeffs must be a nonempty vector, got shape {c.shape}")
-    if mc_samples < _MIN_MC_SAMPLES:
-        raise ValueError(f"mc_samples must be >= {_MIN_MC_SAMPLES}, got {mc_samples}")
-    if np.all(c == 0.0):
-        return McEstimate(1.0 if threshold >= 0.0 else 0.0, 0.0)
-    c = np.sort(c)[::-1]
-    squares = _exp_squares(sigma, c.size, mc_samples, SeededSampler(seed, stream_index))
-    return _estimate(squares @ c <= threshold)
 
 
 def _solve_threshold(sums: np.ndarray, target: float, upper_tail: bool) -> float:

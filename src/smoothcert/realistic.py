@@ -31,7 +31,7 @@ from .certify import (
     clopper_pearson,
 )
 from .distributions import Kind, SmoothingDistribution, rayleigh
-from .rng import SeededSampler
+from .rng import SeededSampler, _split
 from .runtime import BaseClassifier
 from .transforms import conversion_error, gamma_correct, validate_image
 
@@ -291,8 +291,13 @@ class RealisticResult:
 
 def _gaussian_noise(sampler: SeededSampler, count: int, shape: tuple, sigma: float) -> np.ndarray:
     u = sampler.uniforms(count * int(np.prod(shape)))
-    ndtri(u, out=u)
-    u *= sigma
+
+    def transform(lo: int, hi: int) -> None:
+        chunk = u[lo:hi]
+        ndtri(chunk, out=chunk)
+        chunk *= sigma
+
+    _split(transform, u.size)
     return u.reshape((count,) + shape)
 
 

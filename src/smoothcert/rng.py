@@ -9,10 +9,17 @@ reproducible, and it is what lets large fills run in parallel here: each
 usable core fills one contiguous chunk of the index range from its own
 generator advanced to the chunk's first block, and the result is the same
 bits as one sequential fill.
+
+The same split helper runs the other element-wise or row-wise kernels that
+follow a fill: the squared-factor transform (``multicert``), the inverse
+normal CDF and scaling of the inner Gaussian noise (``realistic``), and
+linear scoring by row chunks (``runtime``).  Each computes every element or
+row on its own, so the split never changes a bit.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -59,24 +66,27 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _split(kernel: Callable[[int, int], None], size: int) -> None:
+def _split(kernel: Callable[[int, int], None], size: int, width: int = 1) -> None:
     """Runs ``kernel(lo, hi)`` over a partition of ``range(size)``.
 
-    One contiguous chunk per usable core.  The calling thread runs the first
-    chunk, then any chunk no pool worker has started yet, so a worker that is
-    slow to start (another thread holds its core) does not hold the caller
-    up.  Small sizes, or one core, run inline.  The kernel must write disjoint
-    slices and call no smoothcert function, so that per-call instrumentation
-    (such as ``perfbench``'s span tracer) only ever sees the calling thread.
-    An exception from any chunk is raised only once every chunk that started
-    has finished.
+    Each index stands for ``width`` contiguous doubles (1 for a flat buffer,
+    the row length for a stack of rows).  One contiguous chunk per usable
+    core, each starting on a multiple of 8 doubles.  The calling thread runs
+    the first chunk, then any chunk no pool worker has started yet, so a
+    worker that is slow to start (another thread holds its core) does not
+    hold the caller up.  Small totals, or one core, run inline.  The kernel
+    must write disjoint slices and call no smoothcert function, so that
+    per-call instrumentation (such as ``perfbench``'s span tracer) only ever
+    sees the calling thread.  An exception from any chunk is raised only once
+    every chunk that started has finished.
     """
     global _pool
     cores = _usable_cores()
-    if cores < 2 or size < _SPLIT_MIN:
+    if cores < 2 or size * width < _SPLIT_MIN:
         kernel(0, size)
         return
-    step = -(-size // (cores * _CHUNK_ALIGN)) * _CHUNK_ALIGN
+    align = _CHUNK_ALIGN // math.gcd(_CHUNK_ALIGN, width)
+    step = -(-size // (cores * align)) * align
     chunks = [(lo, min(lo + step, size)) for lo in range(step, size, step)]
     claims = [threading.Lock() for _ in chunks]
 

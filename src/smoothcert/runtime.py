@@ -33,7 +33,7 @@ from .certify import (
     clopper_pearson,
 )
 from .distributions import Kind, SmoothingDistribution, rayleigh
-from .rng import SeededSampler
+from .rng import SeededSampler, _split
 from .transforms import gamma_correct_batch, read_tensor, validate_image
 
 __all__ = [
@@ -59,8 +59,11 @@ _PREDICT_STREAM_BASE = 16
 class BaseClassifier(ABC):
     """Deterministic labelling contract: same tensor in, same label out.
 
-    Implementations must be safe for concurrent evaluation; all the shipped
-    ones are stateless.
+    A row's label depends only on that row, bit for bit: it is the same for
+    any batch size the row arrives in and any BLAS thread count, so callers
+    may label the draw-index range in chunks of any size.  Implementations
+    must be safe for concurrent evaluation; all the shipped ones are
+    stateless.
     """
 
     @abstractmethod
@@ -140,13 +143,17 @@ class HashLabelClassifier(BaseClassifier):
 
 @dataclass(frozen=True)
 class LinearClassifier(BaseClassifier):
-    """argmax(W x + b) over flattened inputs; first index wins ties."""
+    """argmax(W x + b) over flattened inputs; first index wins ties.
+
+    Scores come from numpy's einsum loops rather than BLAS, which makes each
+    row's scores the same bits in any batch and keeps BLAS thread pools idle.
+    """
 
     weights: np.ndarray
     bias: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
+        w = np.ascontiguousarray(self.weights, dtype=float)
         b = np.asarray(self.bias, dtype=float)
         if w.ndim != 2:
             raise ValueError(f"weights must be 2-D (classes, features), got shape {w.shape}")
@@ -156,13 +163,26 @@ class LinearClassifier(BaseClassifier):
         object.__setattr__(self, "bias", b)
 
     def labels(self, batch: np.ndarray) -> np.ndarray:
-        flat = batch.reshape(batch.shape[0], -1)
-        if flat.shape[1] != self.weights.shape[1]:
+        return np.argmax(self._scores(batch), axis=1).astype(int)
+
+    def _scores(self, batch: np.ndarray) -> np.ndarray:
+        # Each score is one dot product summed in the same order whatever the
+        # batch, so any split of the rows is exact: large batches are scored
+        # one row chunk per core.
+        flat = np.ascontiguousarray(batch.reshape(batch.shape[0], -1), dtype=float)
+        rows, features = flat.shape
+        if features != self.weights.shape[1]:
             raise ValueError(
-                f"input has {flat.shape[1]} features, classifier expects {self.weights.shape[1]}"
+                f"input has {features} features, classifier expects {self.weights.shape[1]}"
             )
-        scores = flat @ self.weights.T + self.bias
-        return np.argmax(scores, axis=1).astype(int)
+        scores = np.empty((rows, self.weights.shape[0]))
+
+        def score(lo: int, hi: int) -> None:
+            np.einsum("nd,cd->nc", flat[lo:hi], self.weights, out=scores[lo:hi])
+
+        _split(score, rows, features)
+        scores += self.bias
+        return scores
 
     @property
     def descriptor(self) -> str:

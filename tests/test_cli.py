@@ -336,6 +336,14 @@ class TestCompare:
         assert len(rows) == 4
         assert [r["pa"] for r in rows] == ["0.6", "0.7", "0.8", "0.9"]
 
+    @pytest.mark.parametrize("dists", ["rayleigh", "rayleigh,inv-rayleigh", "log-gaussian"])
+    @pytest.mark.parametrize("scale", ["0", "-1", "inf"])
+    def test_nonpositive_scale_exits_one(self, capsys, dists, scale):
+        code, out, err = run(capsys, ["compare", "--dists", dists, "--scale", scale])
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "scale" in err
+
     def test_bad_distribution_exits_one(self, capsys):
         code, _, err = run(capsys, ["compare", "--dists", "cauchy"])
         assert code == EXIT_ERROR

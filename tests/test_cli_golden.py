@@ -1,4 +1,4 @@
-"""Golden CLI outputs: `cert`, `compare`, `table` and `smooth` byte for byte.
+"""Golden CLI outputs: `cert`, `compare`, `table`, `smooth` and `realistic` byte for byte.
 
 Every case runs the CLI in-process and compares its exit code and output with
 ``golden/cli.json``.  JSON reports are pinned without the manifest's
@@ -23,6 +23,7 @@ from smoothcert.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 
 LAWS = ["rayleigh", "inv-rayleigh", "log-gaussian", "log-laplace", "log-uniform"]
+SIGMAS_GAUSS = (1.0, 4.0)
 
 
 def _cases() -> dict[str, list[str]]:
@@ -49,6 +50,14 @@ def _cases() -> dict[str, list[str]]:
         "smooth", "--input", "<ws>/x.mst1", "--classifier", "<ws>/oracle.json",
         "--n", "500", "--alpha", "0.01", "--seed", "3", "--sweep", "--step", "0.1",
     ]
+    linear = ["--input", "<ws>/image.mst1", "--classifier", "<ws>/linear.json"]
+    cases["smooth-linear"] = ["smooth", *linear, "--n", "2000", "--alpha", "0.01", "--seed", "5"]
+    # 50 inner draws of 3x16x16 noise: 38,400 values, enough to split the noise over cores
+    for sigma in SIGMAS_GAUSS:
+        cases[f"realistic-linear-sigma{sigma:g}"] = [
+            "realistic", *linear, "--budget", "<ws>/budget.json",
+            "--config", f"<ws>/realistic-sigma{sigma:g}.json",
+        ]
     return cases
 
 
@@ -60,6 +69,34 @@ def _workspace(root: Path) -> Path:
     (root / "oracle.json").write_text(
         json.dumps({"type": "threshold", "pixel_value": 0.5, "threshold": 0.25})
     )
+    # A 10-class linear model on an 8-bit 3x16x16 image, all entries in [0, 1]:
+    # class 1 beats class 0 while sum(x**beta) stays above its value at
+    # beta = 1.8, classes 2-9 lose, and random low bits give every weight a
+    # full-width mantissa.
+    rng = np.random.default_rng(2024)
+    image = rng.integers(0, 256, (3, 16, 16)) / 255.0
+    weights = 0.5 + rng.uniform(0.0, 1e-3, (10, image.size))
+    weights[1] += 0.002
+    weights[2:] -= 0.005
+    bias = np.empty(10)
+    bias[0] = 0.6
+    bias[1] = 0.6 - 0.002 * float(np.sum(image**1.8))
+    bias[2:] = rng.uniform(0.0, 0.5, 8)
+    write_tensor(image, root / "image.mst1")
+    write_tensor(weights, root / "weights.mst1")
+    write_tensor(bias, root / "bias.mst1")
+    (root / "linear.json").write_text(
+        json.dumps({"weights": "weights.mst1", "bias": "bias.mst1", "classes": 10})
+    )
+    alpha, q_E, alpha_E = 0.001, 0.9, 0.01
+    (root / "budget.json").write_text(json.dumps({
+        "E": 0.5, "q_E": q_E, "alpha_E": alpha_E, "rho": alpha + (1.0 - q_E) + alpha_E,
+        "gamma_interval": [0.71, 1.33],
+    }))
+    for sigma in SIGMAS_GAUSS:
+        (root / f"realistic-sigma{sigma:g}.json").write_text(json.dumps({
+            "n_eps": 50, "n_gamma": 20, "sigma_gauss": sigma, "alpha": alpha, "seed": 11,
+        }))
     return root
 
 

@@ -27,8 +27,9 @@ from smoothcert import (
     rayleigh,
     smoothed_predict_certify,
 )
+from smoothcert import rng
 from smoothcert.realistic import _gaussian_noise
-from smoothcert.rng import SeededSampler
+from smoothcert.rng import _SPLIT_MIN, SeededSampler
 
 GAMMA_INTERVAL = (0.71, 1.33)
 
@@ -206,6 +207,18 @@ def test_gaussian_noise_is_golden(seed, stream, count, shape, sigma, digest):
     noise = _gaussian_noise(SeededSampler(seed, stream), count, shape, sigma)
     assert noise.shape == (count,) + shape and noise.flags.c_contiguous
     assert hashlib.sha256(noise.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("count", [_SPLIT_MIN // 105, _SPLIT_MIN // 105 + 1])
+def test_gaussian_noise_does_not_depend_on_core_count(monkeypatch, count):
+    # 105 values per draw: the two counts sit just below and just above the
+    # size at which the noise transform is split across cores.
+    shape = (3, 5, 7)
+    sampler = SeededSampler(4, 9)
+    reference = _gaussian_noise(sampler, count, shape, 0.75).tobytes()
+    for cores in (1, 3, 4):
+        monkeypatch.setattr(rng, "_usable_cores", lambda cores=cores: cores)
+        assert _gaussian_noise(sampler, count, shape, 0.75).tobytes() == reference
 
 
 class TestCertifyRealistic:

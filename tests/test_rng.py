@@ -93,6 +93,27 @@ class TestSplitHelper:
         if size < _SPLIT_MIN:
             assert chunks == [(0, size)]
 
+    @pytest.mark.parametrize(
+        "size, width, expected",
+        [
+            (50, 3072, [(0, 25), (25, 50)]),  # every row starts on 8 doubles
+            (3001, 12, [(0, 1502), (1502, 3001)]),  # rows of 12: chunks start on even rows
+            (50, 655, [(0, 50)]),  # 32,750 doubles: below the split size
+            (_SPLIT_MIN // 4, 4, [(0, _SPLIT_MIN // 8), (_SPLIT_MIN // 8, _SPLIT_MIN // 4)]),
+        ],
+    )
+    def test_width_counts_doubles_per_index(self, cores, size, width, expected):
+        cores(2)
+        chunks = []
+        lock = threading.Lock()
+
+        def kernel(lo, hi):
+            with lock:
+                chunks.append((lo, hi))
+
+        _split(kernel, size, width)
+        assert sorted(chunks) == expected
+
     @pytest.mark.parametrize("failing", ["caller", "worker"])
     def test_exception_waits_for_every_started_chunk(self, cores, failing):
         cores(2)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from smoothcert import (
     smoothed_predict_certify,
     write_tensor,
 )
+from smoothcert.rng import _usable_cores
 
 ORACLE = ThresholdOracle(pixel_value=0.5, threshold=0.25)
 
@@ -220,6 +225,86 @@ class TestLinearClassifier:
         result = smoothed_predict_certify(clf, x, config(n=20_000))
         assert result.label == 1
         assert abs(result.pa_lower - 0.93) < 0.02
+
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+
+def random_linear(features: int, classes: int = 10, seed: int = 0) -> LinearClassifier:
+    rng = np.random.default_rng(seed)
+    return LinearClassifier(rng.normal(size=(classes, features)), rng.normal(size=classes))
+
+
+def run_isolated(code: str, blas_threads: int) -> str:
+    """Runs ``code`` in a fresh interpreter with the given OpenBLAS thread count."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(SRC_DIR)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+        env=env,
+    )
+    return done.stdout
+
+
+class TestLinearRowPurity:
+    """A row's scores, and so its label, depend only on that row, bit for bit."""
+
+    @pytest.mark.parametrize("features", [105, 3072])
+    def test_row_blocks_match_one_call(self, features):
+        clf = random_linear(features)
+        batch = np.random.default_rng(1).uniform(0.0, 1.0, (1000, features))
+        scores = clf._scores(batch)
+        labels = clf.labels(batch)
+        for block in (1, 2, 7, 49, 50, 1000):
+            starts = range(0, len(batch), block)
+            blocked = np.concatenate([clf._scores(batch[i : i + block]) for i in starts])
+            assert blocked.tobytes() == scores.tobytes(), f"row blocks of {block}"
+            blocked = np.concatenate([clf.labels(batch[i : i + block]) for i in starts])
+            assert np.array_equal(blocked, labels), f"row blocks of {block}"
+
+    def test_memory_layout_does_not_change_bits(self):
+        clf = random_linear(105)
+        batch = np.random.default_rng(2).uniform(0.0, 1.0, (64, 105))
+        scores = clf._scores(batch).tobytes()
+        assert clf._scores(np.asfortranarray(batch)).tobytes() == scores
+        assert clf._scores(batch.reshape(64, 3, 5, 7)).tobytes() == scores
+
+    def test_blas_thread_count_does_not_change_bits(self):
+        code = (
+            "import hashlib, sys; sys.path.insert(0, sys.argv[1]); import numpy as np; "
+            "from smoothcert import LinearClassifier\n"
+            "for features in (3072, 12288):\n"
+            "    rng = np.random.default_rng(0)\n"
+            "    clf = LinearClassifier(rng.normal(size=(10, features)), rng.normal(size=10))\n"
+            "    batch = rng.uniform(0.0, 1.0, (64, features))\n"
+            "    scores = clf._scores(batch)\n"
+            "    print(features, hashlib.sha256(scores.tobytes()).hexdigest(), clf.labels(batch).tolist())\n"
+        )
+        one, two = run_isolated(code, 1), run_isolated(code, 2)
+        assert one.count("\n") == 2
+        assert one == two
+
+    @pytest.mark.skipif(_usable_cores() < 2, reason="needs two usable cores")
+    def test_labelling_wakes_no_blas_thread(self):
+        # A woken OpenBLAS helper spins between calls, which shows as about
+        # two CPU-seconds per wall second in a labelling loop run on one core.
+        code = (
+            "import sys, time; sys.path.insert(0, sys.argv[1]); import numpy as np; "
+            "from smoothcert import LinearClassifier, rng\n"
+            "rng._usable_cores = lambda: 1\n"
+            "rng = np.random.default_rng(0)\n"
+            "clf = LinearClassifier(rng.normal(size=(10, 3072)), rng.normal(size=10))\n"
+            "batch = rng.uniform(0.0, 1.0, (50, 3072))\n"
+            "clf.labels(batch)\n"
+            "wall, cpu = time.perf_counter(), time.process_time()\n"
+            "while time.perf_counter() - wall < 0.5:\n"
+            "    clf.labels(batch)\n"
+            "print((time.process_time() - cpu) / (time.perf_counter() - wall))\n"
+        )
+        assert float(run_isolated(code, 2)) < 1.5
 
 
 class TestSyntheticManifests:
