@@ -13,7 +13,6 @@ from .certify import (
     certify_rayleigh_closed_form,
     clopper_pearson,
     log_space_radius,
-    reduced_cdf_map,
 )
 from .distributions import (
     Kind,

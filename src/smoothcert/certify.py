@@ -4,12 +4,12 @@ Given a lower bound on the top-class probability and an upper bound on the
 runner-up probability of a classifier smoothed with a Rayleigh-distributed
 multiplicative factor, the functions here compute the interval of attack
 factors (gamma1, gamma2) over which the smoothed prediction provably cannot
-change.  The interval endpoints are roots of monotone one-dimensional
-equations and are found by bracketed bisection; with the trivial runner-up
-bound the roots also have closed forms.
-
-The solver works on a reduced CDF composite that is invariant in the Rayleigh
-scale, so one certificate applies to every scale choice.  Also provided:
+change.  With t = 1/gamma^2 the Rayleigh scale cancels, so one certificate
+applies to every scale choice, and both endpoints are roots in t of one convex
+equation a^t + b^t = 1, found by a few Newton steps; the trivial runner-up
+bound is its closed-form case a = b.  Every endpoint of every law passes one
+inward-rounding step (:func:`_inward`), so no certificate claims more than the
+exact interval, down to floating-point rounding.  Also provided:
 exact one-sided Clopper-Pearson binomial bounds, computed as closed-form beta
 quantiles rounded outward so that they never claim more than the exact
 binomial tail allows; the reciprocal rule for smoothing with 1/Rayleigh
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from scipy.special import betainccinv, betaincinv, ndtri
@@ -40,7 +41,6 @@ __all__ = [
     "Certificate",
     "Abstain",
     "SampleCounts",
-    "reduced_cdf_map",
     "certify_rayleigh",
     "certify_rayleigh_closed_form",
     "certify_inverse_rayleigh",
@@ -49,11 +49,10 @@ __all__ = [
     "certify_for",
 ]
 
-_GAMMA_TOL = 1e-12
-_GAMMA_MAX_ITER = 200
-_BRACKET_FLOOR = 1e-9
-_BRACKET_CAP = 1e9
 _CP_MARGIN = 1e-12
+# Allowed rounding error of a log-endpoint per unit of the terms it comes
+# from: 128 times the unit roundoff, several times each rule's own bound.
+_LOG_TOL = 2.0**-46
 
 
 class Method(enum.Enum):
@@ -106,7 +105,8 @@ class Certificate:
 
     The smoothed prediction is guaranteed unchanged for every attack factor
     strictly between the endpoints.  ``gamma2 == math.inf`` marks an unbounded
-    right end.
+    right end and, its mirror, ``gamma1 == 0.0`` an unbounded left end (every
+    factor in (0, 1]); both arise at the tightest runner-up bound pb = 0.
     """
 
     gamma1: float
@@ -116,8 +116,8 @@ class Certificate:
     confidence: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.gamma1 <= 1.0:
-            raise ValueError(f"gamma1 must lie in (0, 1], got {self.gamma1}")
+        if not 0.0 <= self.gamma1 <= 1.0:
+            raise ValueError(f"gamma1 must lie in [0, 1], got {self.gamma1}")
         if not self.gamma2 >= 1.0:
             raise ValueError(f"gamma2 must be >= 1, got {self.gamma2}")
 
@@ -157,112 +157,104 @@ class SampleCounts:
             raise ValueError(f"successes must lie in [0, {self.trials}], got {self.successes}")
 
 
-def reduced_cdf_map(gamma: float, q: float) -> float:
-    """The scale-free composite F(F^{-1}(q) / gamma) = 1 - (1 - q)^(1/gamma^2).
+def _t_root(log_a: float, log_b: float) -> float:
+    """ln t for the root t > 0 of a**t + b**t = 1, from ln a and ln b in [-inf, 0).
 
-    The Rayleigh scale cancels inside the composite, which is why one solver
-    serves every scale choice.
+    Either may also be 0 (a = 1) or -inf (b = 0), but not both at once; these
+    give the limits t = inf and t = 0.  With the exponents m <= n of -ln a and
+    -ln b and x = n t, the equation reads k(x) = ln q - x - ln x - ln(m / n) = 0
+    with q = -ln(1 - e^-x) e^x in [1, 2 ln 2].  k is convex and falls with slope
+    at most -1 from -ln(m / n) >= 0 at x = ln 2 (the root when a = b), so Newton
+    steps from there climb to the root without overshoot, in five steps at
+    most for exponents from 1e-323 to 745.  As the slope is at most -1, x is
+    off by no more than the rounding in k, and a rounding count puts
+    -ln(t) / 2 within 2**-48 (1 + |ln t| / 2) of the exact value; the tests
+    check that bound against 60-digit residuals.
     """
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"q must lie in [0, 1), got {q}")
-    return -math.expm1(math.log1p(-q) / (gamma * gamma))
+    m, n = sorted((-log_a, -log_b))
+    if m == 0.0:  # a = 1: b^t must vanish
+        return math.inf
+    if math.isinf(n):  # b = 0: a^t must be 1
+        return -math.inf
+    c = math.log(m) - math.log(n)
+    x = math.log(2.0)
+    while True:
+        p = math.exp(-x)
+        q = -math.log1p(-p) / p if p else 1.0
+        step = (math.log(q) - x - math.log(x) - c) / (1.0 / ((1.0 - p) * q) + 1.0 / x)
+        x += step
+        if not step > x * 2.0**-30:  # the next step would be below 2**-60 x
+            return math.log(x) - math.log(n)
 
 
-def _bisect_decreasing(residual, lo: float, hi: float) -> float:
-    """Root of a residual that is positive at ``lo`` and negative at ``hi``."""
-    f_lo, f_hi = residual(lo), residual(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if not (f_lo > 0.0 > f_hi):
-        raise ValueError(f"bracket [{lo}, {hi}] does not straddle a sign change")
-    for _ in range(_GAMMA_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        f_mid = residual(mid)
-        if f_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < _GAMMA_TOL:
-            break
-    return 0.5 * (lo + hi)
+def _inward(log_gamma: float, size: float) -> float:
+    """The endpoint exp(log_gamma), rounded toward 1 so that it never overstates.
+
+    ``log_gamma`` is the float value of an exact log-endpoint computed from terms
+    whose magnitudes sum to ``size``; each rule keeps its rounding error below
+    ``_LOG_TOL * size``.  The log is moved toward 0 by that bound, and the
+    result one relative 2**-51 further toward 1, which covers ``math.exp`` (1 ulp)
+    and this product.  Exact limits (log_gamma = -inf or inf) give 0 and inf;
+    otherwise an endpoint beyond the doubles is clamped to the largest double or
+    the smallest normal one, both on the safe side.
+    """
+    if math.isinf(log_gamma):
+        return math.exp(log_gamma)
+    shrunk = max(abs(log_gamma) - _LOG_TOL * size, 0.0)
+    if log_gamma > 0.0:
+        return max(min(math.exp(shrunk) * (1.0 - 2.0**-51), sys.float_info.max), 1.0)
+    return min(max(math.exp(-shrunk) * (1.0 + 2.0**-51), sys.float_info.min), 1.0)
 
 
-def _solve_gamma_pair(res_lo, res_hi, distribution: str, confidence: float) -> Certificate:
-    """Solve the left root on (0, 1] and the right root on [1, inf)."""
-    # Right end: res_hi decreases from pa - pb > 0 at gamma = 1; double out.
-    hi = 1.0
-    while res_hi(hi) > 0.0:
-        hi *= 2.0
-        if hi > _BRACKET_CAP:
-            return Certificate(_left_root(res_lo), math.inf, Method.BISECTION, distribution, confidence)
-    gamma2 = _bisect_decreasing(res_hi, hi / 2.0, hi) if hi > 1.0 else 1.0
-
-    gamma1 = _left_root(res_lo)
-    return Certificate(gamma1, gamma2, Method.BISECTION, distribution, confidence)
+def _rayleigh_logs(pa: float, pb: float) -> tuple[float, float]:
+    """ln gamma1 and ln gamma2 of the Rayleigh interval, each -ln(t) / 2 at a t-root."""
+    log_pb = math.log(pb) if pb > 0.0 else -math.inf
+    return -0.5 * _t_root(math.log1p(-pb), math.log(pa)), -0.5 * _t_root(math.log1p(-pa), log_pb)
 
 
-def _left_root(res_lo) -> float:
-    # res_lo is negative at gamma = 1 (pb - pa) and rises to +1 as gamma -> 0.
-    lo = 1.0
-    while res_lo(lo) < 0.0:
-        lo /= 2.0
-        if lo < _BRACKET_FLOOR:
-            return _BRACKET_FLOOR
-    if lo == 1.0:
-        return 1.0
-    # res_lo is positive at lo and negative at 2*lo, the shape the helper expects.
-    return _bisect_decreasing(res_lo, lo, 2.0 * lo)
+def _rayleigh_certificate(
+    lo: float, hi: float, method: Method, distribution: str, confidence: float
+) -> Certificate:
+    # size 1 + |ln gamma|: four times the rounding bound of _t_root
+    return Certificate(
+        _inward(lo, 1.0 + abs(lo)), _inward(hi, 1.0 + abs(hi)), method, distribution, confidence
+    )
 
 
-def _check_open_bounds(bounds: ProbBounds) -> Abstain | None:
-    if bounds.pb_upper == 0.0:
-        raise ValueError("pb_upper must be strictly positive (open-interval probabilities)")
-    if not bounds.certifiable:
-        return Abstain(
-            f"bounds do not separate: pa_lower={bounds.pa_lower} <= pb_upper={bounds.pb_upper}"
-        )
-    return None
+def _no_separation(bounds: ProbBounds) -> Abstain:
+    return Abstain(
+        f"bounds do not separate: pa_lower={bounds.pa_lower} <= pb_upper={bounds.pb_upper}"
+    )
 
 
 def certify_rayleigh(bounds: ProbBounds) -> Certificate | Abstain:
     """Certified factor interval for Rayleigh-smoothed classifiers.
 
-    gamma1 solves m(g, pb) + m(g, 1 - pa) = 1 on (0, 1] and gamma2 solves
-    m(g, pa) + m(g, 1 - pb) = 1 on [1, inf), with m the reduced CDF map.
-    Both roots are unique because each residual is strictly monotone.
+    With t = 1/gamma^2 the Rayleigh scale cancels from F(F^{-1}(q) / gamma) =
+    1 - (1 - q)^t, and the endpoints are t-roots of a^t + b^t = 1
+    (:func:`_t_root`): gamma1 at (a, b) = (1 - pb, pa) and gamma2 at
+    (1 - pa, pb), each unique because the left side is convex and decreasing.
+    pb = 0 gives the exact limit (0, inf).
     """
-    abstain = _check_open_bounds(bounds)
-    if abstain is not None:
-        return abstain
-    pa, pb = bounds.pa_lower, bounds.pb_upper
-
-    def res_hi(g: float) -> float:
-        return reduced_cdf_map(g, pa) + reduced_cdf_map(g, 1.0 - pb) - 1.0
-
-    def res_lo(g: float) -> float:
-        return reduced_cdf_map(g, pb) + reduced_cdf_map(g, 1.0 - pa) - 1.0
-
-    return _solve_gamma_pair(res_lo, res_hi, rayleigh().descriptor, bounds.confidence)
+    if not bounds.certifiable:
+        return _no_separation(bounds)
+    lo, hi = _rayleigh_logs(bounds.pa_lower, bounds.pb_upper)
+    return _rayleigh_certificate(lo, hi, Method.BISECTION, rayleigh().descriptor, bounds.confidence)
 
 
 def certify_rayleigh_closed_form(pa_lower: float, confidence: float = 1.0) -> Certificate | Abstain:
-    """Analytic certificate under the trivial runner-up bound pb = 1 - pa.
+    """Certificate under the trivial runner-up bound pb = 1 - pa.
 
-    gamma1 = sqrt(ln pa / ln 1/2), gamma2 = sqrt(ln(1 - pa) / ln 1/2);
-    requires pa > 1/2 (at or below 1/2 the interval degenerates to {1}).
+    Both t-roots then have a == b, so t = ln(1/2) / ln a: gamma1 =
+    sqrt(ln pa / ln 1/2) and gamma2 = sqrt(ln(1 - pa) / ln 1/2).  Requires
+    pa > 1/2 (at or below 1/2 the interval degenerates to {1}).
     """
     if not 0.0 < pa_lower < 1.0:
         raise ValueError(f"pa_lower must lie in (0, 1), got {pa_lower}")
     if pa_lower <= 0.5:
         return Abstain(f"pa_lower={pa_lower} <= 1/2 under the trivial runner-up bound")
-    ln_half = math.log(0.5)
-    gamma1 = math.sqrt(math.log(pa_lower) / ln_half)
-    gamma2 = math.sqrt(math.log1p(-pa_lower) / ln_half)
-    return Certificate(gamma1, gamma2, Method.CLOSED_FORM, rayleigh().descriptor, confidence)
+    lo, hi = _rayleigh_logs(pa_lower, 1.0 - pa_lower)
+    return _rayleigh_certificate(lo, hi, Method.CLOSED_FORM, rayleigh().descriptor, confidence)
 
 
 def certify_inverse_rayleigh(bounds: ProbBounds) -> Certificate | Abstain:
@@ -270,19 +262,14 @@ def certify_inverse_rayleigh(bounds: ProbBounds) -> Certificate | Abstain:
 
     The map z -> 1/z carries Rayleigh smoothing under attack 1/gamma onto
     reciprocal smoothing under attack gamma, so the interval is the
-    elementwise reciprocal of the Rayleigh one with endpoints swapped.
+    elementwise reciprocal of the Rayleigh one with endpoints swapped: the
+    log-endpoints change sign before the one rounding step.
     """
-    base = certify_rayleigh(bounds)
-    if isinstance(base, Abstain):
-        return base
-    if base.unbounded:
-        raise ValueError("cannot take the reciprocal of an unbounded certificate")
-    return Certificate(
-        1.0 / base.gamma2,
-        1.0 / base.gamma1,
-        Method.RECIPROCAL,
-        inverse_rayleigh().descriptor,
-        base.confidence,
+    if not bounds.certifiable:
+        return _no_separation(bounds)
+    lo, hi = _rayleigh_logs(bounds.pa_lower, bounds.pb_upper)
+    return _rayleigh_certificate(
+        -hi, -lo, Method.RECIPROCAL, inverse_rayleigh().descriptor, bounds.confidence
     )
 
 
@@ -323,7 +310,8 @@ def log_space_radius(
     The additive radius R follows the standard one-dimensional results for
     each law (Gaussian: half the quantile gap; Laplace: -scale*ln(2(1-pa)),
     trivial runner-up; uniform on [-scale, scale]: scale*(pa - pb)), and the
-    returned interval is (exp(-R), exp(R)).
+    returned interval is (exp(-R), exp(R)), rounded inward.  For the Gaussian
+    radius pb = 0 gives the exact limit (0, inf).
     """
     if kind not in _LOG_KINDS:
         raise ValueError(f"not a log-space kind: {kind!r}")
@@ -333,29 +321,29 @@ def log_space_radius(
         raise ValueError(f"pb_upper must lie in [0, 1), got {pb_upper}")
     dist = SmoothingDistribution(kind, scale)
 
+    # size: the terms of R, whose rounding (ndtri within 8 ulps) stays below _LOG_TOL * size
     if kind is Kind.LOG_LAPLACE:
         if pa_lower <= 0.5:
             return Abstain(f"pa_lower={pa_lower} <= 1/2: no Laplace radius")
-        radius = -scale * math.log(2.0 * (1.0 - pa_lower))
+        radius = size = -scale * math.log(2.0 * (1.0 - pa_lower))
     else:
         if pa_lower <= pb_upper:
             return Abstain(f"bounds do not separate: {pa_lower} <= {pb_upper}")
         if kind is Kind.LOG_GAUSSIAN:
-            if pb_upper == 0.0:
-                raise ValueError("pb_upper must be strictly positive for the Gaussian radius")
-            radius = 0.5 * scale * (float(ndtri(pa_lower)) - float(ndtri(pb_upper)))
+            za, zb = 0.5 * scale * float(ndtri(pa_lower)), 0.5 * scale * float(ndtri(pb_upper))
+            radius, size = za - zb, abs(za) + abs(zb)
         else:
-            radius = scale * (pa_lower - pb_upper)
+            radius = size = scale * (pa_lower - pb_upper)
 
     return Certificate(
-        math.exp(-radius), math.exp(radius), Method.LOG_SPACE, dist.descriptor, confidence
+        _inward(-radius, size), _inward(radius, size), Method.LOG_SPACE, dist.descriptor, confidence
     )
 
 
 def certify_for(dist: SmoothingDistribution, bounds: ProbBounds) -> Certificate | Abstain:
     """The certificate rule of the smoothing law ``dist`` applied to ``bounds``.
 
-    The one place a :class:`Kind` meets its rule: the Rayleigh bisection, the
+    The one place a :class:`Kind` meets its rule: the Rayleigh t-root, the
     reciprocal rule, or the log-space radius (defined for base e only).  The
     Rayleigh certificates are scale-free, so only the log-space radius reads
     ``dist.scale``.

@@ -1,11 +1,13 @@
+import functools
 import math
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import ndtri
 from scipy.stats import beta as beta_dist
 
 from smoothcert import (
@@ -25,7 +27,6 @@ from smoothcert import (
     clopper_pearson,
     log_space_radius,
     rayleigh,
-    reduced_cdf_map,
 )
 
 from explicit_rayleigh import certify_rayleigh_explicit
@@ -126,23 +127,134 @@ def _exact_tail(k: int, n: int, p: float, upper: bool) -> Fraction:
     return (_fraction_tail if n <= 50 else _decimal_tail)(k, n, p, upper)
 
 
+# Exact certificate endpoints, the oracle for the soundness of every rule, in
+# stdlib decimals at 60 digits.  Each oracle gives, per endpoint, a function of
+# gamma that is <= 0 exactly when gamma lies between 1 and the exact endpoint.
+_DIGITS = 60
+
+
+def _context(extra: int = 0):
+    return localcontext(Context(prec=_DIGITS + extra, Emin=-(10**8), Emax=10**8))
+
+
+def _ln1m(p: Decimal) -> Decimal:
+    """ln(1 - p), to 60 digits however small p is."""
+    with _context(max(0, -p.adjusted())):
+        value = (1 - p).ln()
+    return +value
+
+
+def _expm1(y: Decimal) -> Decimal:
+    """e^y - 1, to 60 digits however small y is."""
+    with _context(max(0, -y.adjusted())):
+        value = y.exp() - 1
+    return +value
+
+
+def _rayleigh_excess(pa: float, pb: float):
+    """Rayleigh oracles: the sign of a^t + b^t - 1 at t = 1/gamma^2, which
+    falls in t, for (a, b) = (1 - pb, pa) (gamma1) and (1 - pa, pb) (gamma2)."""
+    with _context():
+        pa_d, pb_d = Decimal(pa), Decimal(pb)
+        logs1 = (_ln1m(pb_d), pa_d.ln())
+        logs2 = (_ln1m(pa_d), pb_d.ln())
+
+    def residual(logs, gamma: Decimal) -> Decimal:
+        with _context():
+            t = 1 / (gamma * gamma)
+            far, near = sorted(t * log for log in logs)  # near 1: e^near needs expm1
+            return far.exp() + _expm1(near)
+
+    return (lambda g: -residual(logs1, g)), (lambda g: residual(logs2, g))
+
+
+@functools.cache
+def _decimal_pi(digits: int) -> Decimal:
+    """pi by the series recipe of the decimal module's documentation."""
+    with _context(digits + 2 - _DIGITS):
+        lasts, t, total, n, na, d, da = 0, Decimal(3), Decimal(3), 1, 0, 0, 24
+        while total != lasts:
+            lasts = total
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            total += t
+    return total
+
+
+def _lower_tail(x: Decimal) -> Decimal:
+    """Phi(x) for x <= 0: (1 - erf(z)) / 2 at z = -x / sqrt(2), from the series
+    erf(z) = 2/sqrt(pi) e^(-z^2) sum_n (2 z^2)^n z / (2n + 1)!!, whose terms are
+    all positive; the digits lost to 1 - erf(z) are added up front."""
+    extra = int(x * x / 4) + 10  # log10 of 1 / erfc(z) is below z^2 / 2.3
+    with _context(extra):
+        z = -x / Decimal(2).sqrt()
+        term = total = z
+        n, z2, tiny = 0, 2 * z * z, Decimal(10) ** -(_DIGITS + extra + 5)
+        while term > tiny * total:
+            n += 1
+            term = term * z2 / (2 * n + 1)
+            total += term
+        erf = 2 / _decimal_pi(_DIGITS + extra).sqrt() * (-z * z).exp() * total
+        value = (1 - erf) / 2
+    return +value
+
+
+def _probit(p: float) -> Decimal:
+    """Phi^{-1}(p) by Newton steps on the erf series, from scipy's value."""
+    if p > 0.5:  # 1 - p is exact
+        return -_probit(1.0 - p)
+    target, x = Decimal(p), Decimal(float(ndtri(p)))
+    with _context():
+        for _ in range(20):
+            density = (-x * x / 2).exp() / (2 * _decimal_pi(_DIGITS)).sqrt()
+            step = (_lower_tail(x) - target) / density
+            x -= step
+            if abs(step) <= abs(x) * Decimal("1e-50"):
+                return x
+    raise AssertionError(f"Newton steps for the probit of {p} did not settle")
+
+
+def _exact_radius(kind: Kind, scale: float, pa: float, pb: float) -> Decimal:
+    with _context():
+        s, pa_d, pb_d = Decimal(scale), Decimal(pa), Decimal(pb)
+        if kind is Kind.LOG_GAUSSIAN:
+            return s * (_probit(pa) - _probit(pb)) / 2
+        if kind is Kind.LOG_LAPLACE:
+            return -s * (2 * (1 - pa_d)).ln()
+        return s * (pa_d - pb_d)
+
+
+def _exact_excess(kind: Kind, scale: float, pa: float, pb: float):
+    if kind is Kind.RAYLEIGH:
+        return _rayleigh_excess(pa, pb)
+    if kind is Kind.INVERSE_RAYLEIGH:  # the reciprocal of the Rayleigh interval
+        excess1, excess2 = _rayleigh_excess(pa, pb)
+        return (lambda g: excess2(1 / g)), (lambda g: excess1(1 / g))
+    radius = _exact_radius(kind, scale, pa, pb)
+    return (lambda g: -radius - g.ln()), (lambda g: g.ln() - radius)
+
+
+# The Rayleigh scale cancels from the composite F(F^{-1}(q) / gamma), leaving
+# 1 - (1 - q)^t with t = 1/gamma^2: the identity the t-form solver rests on.
+UNIT_MEDIAN = rayleigh(RayleighParams.unit_median())
+
+
+def _composite(dist, gamma: float, q: float) -> float:
+    return float(dist.cdf(dist.quantile(q) / gamma))
+
+
 class TestReducedCdfMap:
     def test_identity_at_gamma_one(self):
-        assert abs(reduced_cdf_map(1.0, 0.3) - 0.3) < 1e-15
+        assert abs(_composite(UNIT_MEDIAN, 1.0, 0.3) - 0.3) < 1e-15
 
     def test_sixteenth_root(self):
         # (1/16)^(1/4) = 1/2
-        assert abs(reduced_cdf_map(2.0, 0.9375) - 0.5) < 1e-15
+        assert abs(_composite(UNIT_MEDIAN, 2.0, 0.9375) - 0.5) < 1e-15
 
     def test_zero_fixed_point(self):
         for gamma in (0.2, 1.0, 7.0):
-            assert reduced_cdf_map(gamma, 0.0) == 0.0
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            reduced_cdf_map(2.0, 1.0)
-        with pytest.raises(ValueError):
-            reduced_cdf_map(0.0, 0.3)
+            assert _composite(UNIT_MEDIAN, gamma, 0.0) == 0.0
 
     @given(
         st.floats(min_value=0.05, max_value=20.0),
@@ -150,9 +262,8 @@ class TestReducedCdfMap:
         st.floats(min_value=0.1, max_value=3.0),
     )
     def test_matches_explicit_composite_for_any_scale(self, gamma, q, sigma):
-        dist = rayleigh(RayleighParams(sigma))
-        explicit = dist.cdf(dist.quantile(q) / gamma)
-        assert abs(reduced_cdf_map(gamma, q) - explicit) < 1e-12
+        reduced = -math.expm1(math.log1p(-q) / (gamma * gamma))
+        assert abs(reduced - _composite(rayleigh(RayleighParams(sigma)), gamma, q)) < 1e-12
 
 
 class TestCertifyRayleigh:
@@ -170,18 +281,18 @@ class TestCertifyRayleigh:
 
     def test_residuals_vanish_at_roots(self):
         cert = certify_rayleigh(ProbBounds(0.83, 0.07))
-        res_hi = reduced_cdf_map(cert.gamma2, 0.83) + reduced_cdf_map(cert.gamma2, 0.93) - 1.0
-        res_lo = reduced_cdf_map(cert.gamma1, 0.07) + reduced_cdf_map(cert.gamma1, 0.17) - 1.0
-        assert abs(res_hi) < 1e-10
-        assert abs(res_lo) < 1e-10
+        excess1, excess2 = _rayleigh_excess(0.83, 0.07)
+        assert abs(excess1(Decimal(cert.gamma1))) < Decimal("1e-10")
+        assert abs(excess2(Decimal(cert.gamma2))) < Decimal("1e-10")
 
     def test_abstains_when_bounds_cross(self):
         outcome = certify_rayleigh(ProbBounds(0.4, 0.6))
         assert isinstance(outcome, Abstain)
 
     def test_rejects_closed_interval_edges(self):
-        with pytest.raises(ValueError):
-            certify_rayleigh(ProbBounds(0.9, 0.0))
+        # pb = 0 is the tightest runner-up bound, with the exact limit (0, inf)
+        cert = certify_rayleigh(ProbBounds(0.9, 0.0))
+        assert (cert.gamma1, cert.gamma2) == (0.0, math.inf)
         with pytest.raises(ValueError):
             ProbBounds(1.0, 0.1)
 
@@ -373,7 +484,7 @@ def certify_from_counts(
     With the trivial runner-up bound the whole mistake budget ``alpha`` goes
     into the top-class lower bound and the closed form applies; otherwise the
     budget is split evenly between the two Clopper-Pearson bounds and the
-    interval is solved by bisection.  Abstains whenever the lower bound is at
+    interval is solved in the t-form.  Abstains whenever the lower bound is at
     most 1/2.
     """
     if use_trivial_pb:
@@ -387,8 +498,6 @@ def certify_from_counts(
     pb = clopper_pearson(runner_up_counts, alpha / 2.0, Side.UPPER)
     if pa <= 0.5:
         return Abstain(f"pa_lower={pa:.6f} <= 1/2 at alpha={alpha}")
-    if pb == 0.0:
-        pb = math.nextafter(0.0, 1.0)
     bounds = ProbBounds(pa, pb, confidence=1.0 - alpha)
     if not bounds.certifiable:
         return Abstain(f"bounds cross: pa_lower={pa:.6f} <= pb_upper={pb:.6f}")
@@ -539,10 +648,83 @@ def _np_worst_case(pdf, grid, pa, delta) -> float:
     return float(cum_shifted[min(i, len(cum_shifted) - 1)])
 
 
+def _soundness_cases() -> list[tuple[float, float, float]]:
+    """(pa, pb, scale): 600 random pairs, half with pb spread over 300 decades, and the edges."""
+    rng = np.random.default_rng(8)
+    cases = []
+    for i in range(600):
+        pa = rng.uniform(0.3, 1.0)
+        pb = rng.uniform(0.0, pa) if i % 2 else pa * 10.0 ** rng.uniform(-300.0, 0.0)
+        cases.append((pa, pb, rng.uniform(0.25, 2.0)))
+    for pa in (0.5 + 1e-12, 1.0 - 1e-12):
+        for pb in (1e-300, 1e-12, 1.0 - pa, 0.0):
+            cases.extend((pa, pb, scale) for scale in (0.25, 1.0, 2.0))
+    return cases
+
+
+SOUNDNESS_CASES = _soundness_cases()
+
+
+class TestExactSoundness:
+    """Every endpoint of every rule against the exact one, to 60 digits.
+
+    gamma1 is never below the exact endpoint and gamma2 never above it, and
+    both lie within 1e-11 relative of it; at pb = 0 the Rayleigh, reciprocal
+    and Gaussian intervals are the exact limit (0, inf).
+    """
+
+    @pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
+    def test_endpoints_are_sound_and_tight(self, kind):
+        certified = 0
+        for pa, pb, scale in SOUNDNESS_CASES:
+            outcome = certify_for(SmoothingDistribution(kind, scale), ProbBounds(pa, pb))
+            if kind is Kind.LOG_LAPLACE and pa <= 0.5:
+                assert isinstance(outcome, Abstain)
+                continue
+            assert isinstance(outcome, Certificate), (pa, pb)
+            certified += 1
+            if pb == 0.0 and kind in (Kind.RAYLEIGH, Kind.INVERSE_RAYLEIGH, Kind.LOG_GAUSSIAN):
+                assert (outcome.gamma1, outcome.gamma2) == (0.0, math.inf), (pa, pb)
+                continue
+            excess1, excess2 = _exact_excess(kind, scale, pa, pb)
+            with _context():
+                gamma1, gamma2 = Decimal(outcome.gamma1), Decimal(outcome.gamma2)
+                slack = 1 + Decimal("1e-11")
+                assert excess1(gamma1) <= 0, ("gamma1 below the exact endpoint", pa, pb, scale)
+                assert excess2(gamma2) <= 0, ("gamma2 above the exact endpoint", pa, pb, scale)
+                assert excess1(gamma1 / slack) >= 0, ("gamma1 not tight", pa, pb, scale)
+                assert excess2(gamma2 * slack) >= 0, ("gamma2 not tight", pa, pb, scale)
+        assert certified >= 400
+
+    def test_t_root_within_its_error_bound(self):
+        # -ln(t)/2 within 2**-48 (1 + |ln t|/2) of the exact value: the residual
+        # a^t + b^t - 1, falling in t, changes sign between the two bounds
+        from smoothcert.certify import _t_root
+
+        for pa, pb, _ in SOUNDNESS_CASES:
+            if pb == 0.0:
+                continue
+            log_pb = math.log(pb)
+            for excess, logs in zip(
+                _rayleigh_excess(pa, pb),
+                [(math.log1p(-pb), math.log(pa)), (math.log1p(-pa), log_pb)],
+            ):
+                half_log_t = -0.5 * _t_root(*logs)
+                bound = 2.0**-48 * (1.0 + abs(half_log_t))
+                with _context():
+                    inner = Decimal(half_log_t - bound).exp()
+                    outer = Decimal(half_log_t + bound).exp()
+                    signs = {excess(inner) <= 0, excess(outer) <= 0}
+                assert signs == {True, False}, (pa, pb)
+
+
 class TestCertificateType:
     def test_invariants(self):
-        with pytest.raises(ValueError):
-            Certificate(0.0, 2.0, Method.BISECTION, "d", 1.0)
+        # gamma1 == 0 is the unbounded left end, the mirror of gamma2 == inf
+        assert Certificate(0.0, 2.0, Method.BISECTION, "d", 1.0).contains(1e-300)
+        for gamma1 in (-1e-300, -0.5, 1.0 + 1e-12):
+            with pytest.raises(ValueError):
+                Certificate(gamma1, 2.0, Method.BISECTION, "d", 1.0)
         with pytest.raises(ValueError):
             Certificate(0.5, 0.9, Method.BISECTION, "d", 1.0)
 

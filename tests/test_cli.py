@@ -100,6 +100,18 @@ class TestCert:
         assert code == EXIT_ABSTAIN
         assert out.startswith("abstain:")
 
+    @pytest.mark.parametrize("dist", ["rayleigh", "inv-rayleigh", "log-gaussian", "log-laplace", "log-uniform"])
+    @pytest.mark.parametrize("pb", ["0", "1e-20"])
+    def test_tightest_runner_up_bounds_certify(self, capsys, dist, pb):
+        code, out, _ = run(capsys, ["cert", "--pa", "0.9", "--pb", pb, "--dist", dist, "--json"])
+        assert code == EXIT_OK
+        report = json.loads(out)
+        jsonschema.validate(report, load_schema("report.schema.json"))
+        cert = report["result"]["certificate"]
+        jsonschema.validate(cert, load_schema("certificate.schema.json"))
+        if pb == "0" and dist in ("rayleigh", "inv-rayleigh", "log-gaussian"):
+            assert (cert["gamma1"], cert["gamma2"], cert["unbounded"]) == (0.0, None, True)
+
     def test_log_space_distributions(self, capsys):
         code, out, _ = run(capsys, ["cert", "--pa", "0.9", "--trivial-pb", "--dist", "log-laplace", "--json"])
         assert code == EXIT_OK

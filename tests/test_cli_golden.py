@@ -6,6 +6,9 @@ Every case runs the CLI in-process and compares its exit code and output with
 ``<ws>``.  Regenerate the file, after a deliberate output change only, with
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+which prints the name of every case whose recorded output it changes, adds or
+drops, so that a re-record can be reviewed case by case.
 """
 
 import contextlib
@@ -37,6 +40,7 @@ def _cases() -> dict[str, list[str]]:
         for mode, extra in (("plain", []), ("json", ["--json"])):
             argv = ["cert", "--pa", "0.9", "--trivial-pb", "--dist", law, "--scale", "0.5", *extra]
             cases[f"cert-{law}-scale0.5-{mode}"] = argv
+        cases[f"cert-{law}-pb0-json"] = ["cert", "--pa", "0.9", "--pb", "0", "--dist", law, "--json"]
         argv = ["smooth", "--input", "<ws>/x.mst1", "--classifier", "<ws>/oracle.json",
                 "--n", "2000", "--alpha", "0.01", "--seed", "7", "--dist", law]
         cases[f"smooth-{law}"] = argv
@@ -123,9 +127,13 @@ def test_golden_file_covers_every_case():
 
 
 if __name__ == "__main__":
+    previous = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         workspace = _workspace(Path(tmp))
         recorded = {name: _render(argv, workspace) for name, argv in sorted(CASES.items())}
+    changed = [name for name in sorted(set(previous) | set(recorded)) if previous.get(name) != recorded.get(name)]
+    for name in changed:
+        print(name)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(recorded, sort_keys=True, indent=1) + "\n")
-    print(f"wrote {len(recorded)} cases to {GOLDEN}")
+    print(f"wrote {len(recorded)} cases to {GOLDEN}, {len(changed)} changed")
