@@ -35,7 +35,6 @@ from .multicert import (
 from .realistic import (
     ErrorBudget,
     RealisticConfig,
-    RealisticResult,
     adjust_probabilities,
     certify_realistic,
     error_budget,

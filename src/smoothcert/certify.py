@@ -56,8 +56,7 @@ _LOG_TOL = 2.0**-46
 
 
 class Method(enum.Enum):
-    BISECTION = "bisection"
-    CLOSED_FORM = "closed-form"
+    T_ROOT = "t-root"
     RECIPROCAL = "reciprocal"
     LOG_SPACE = "log-space"
 
@@ -239,7 +238,7 @@ def certify_rayleigh(bounds: ProbBounds) -> Certificate | Abstain:
     if not bounds.certifiable:
         return _no_separation(bounds)
     lo, hi = _rayleigh_logs(bounds.pa_lower, bounds.pb_upper)
-    return _rayleigh_certificate(lo, hi, Method.BISECTION, rayleigh().descriptor, bounds.confidence)
+    return _rayleigh_certificate(lo, hi, Method.T_ROOT, rayleigh().descriptor, bounds.confidence)
 
 
 def certify_rayleigh_closed_form(pa_lower: float, confidence: float = 1.0) -> Certificate | Abstain:
@@ -254,7 +253,7 @@ def certify_rayleigh_closed_form(pa_lower: float, confidence: float = 1.0) -> Ce
     if pa_lower <= 0.5:
         return Abstain(f"pa_lower={pa_lower} <= 1/2 under the trivial runner-up bound")
     lo, hi = _rayleigh_logs(pa_lower, 1.0 - pa_lower)
-    return _rayleigh_certificate(lo, hi, Method.CLOSED_FORM, rayleigh().descriptor, confidence)
+    return _rayleigh_certificate(lo, hi, Method.T_ROOT, rayleigh().descriptor, confidence)
 
 
 def certify_inverse_rayleigh(bounds: ProbBounds) -> Certificate | Abstain:

@@ -42,6 +42,7 @@ from .distributions import (
 )
 from .realistic import ErrorBudget, RealisticConfig, certify_realistic, estimate_conversion_error
 from .runtime import (
+    PredictionResult,
     SmoothedClassifier,
     SmoothingConfig,
     empirical_sweep,
@@ -110,6 +111,21 @@ def _certificate_json(cert: Certificate) -> dict:
         "method": cert.method.value,
         "distribution": cert.distribution,
         "confidence": cert.confidence,
+    }
+
+
+def _prediction_json(result: PredictionResult) -> dict:
+    counts, adjusted = result.counts, result.adjusted
+    return {
+        "label": result.label,
+        "abstained": result.abstained,
+        "pa_lower": result.pa_lower,
+        "counts": None if counts is None else {"successes": counts.successes, "trials": counts.trials},
+        "certificate": _certificate_json(result.certificate) if result.certificate else None,
+        "reason": result.reason,
+        "adjusted": None
+        if adjusted is None
+        else {"pa_lower": adjusted.pa_lower, "pb_upper": adjusted.pb_upper},
     }
 
 
@@ -226,11 +242,7 @@ def cmd_smooth(args: argparse.Namespace) -> int:
     payload: dict = {
         "classifier": base.descriptor,
         "distribution": dist.descriptor,
-        "label": result.label,
-        "abstained": result.abstained,
-        "pa_lower": result.pa_lower,
-        "counts": {"successes": result.counts.successes, "trials": result.counts.trials},
-        "certificate": _certificate_json(result.certificate) if result.certificate else None,
+        **_prediction_json(result),
         "sweep": None,
     }
     if args.sweep:
@@ -274,17 +286,7 @@ def cmd_realistic(args: argparse.Namespace) -> int:
     result = certify_realistic(base, x, cfg, budget)
     payload = {
         "classifier": base.descriptor,
-        "label": result.label,
-        "abstained": result.abstained,
-        "pa_lower": result.pa_lower,
-        "adjusted": None
-        if result.adjusted is None
-        else {"pa_lower": result.adjusted.pa_lower, "pb_upper": result.adjusted.pb_upper},
-        "counts": None
-        if result.counts is None
-        else {"successes": result.counts.successes, "trials": result.counts.trials},
-        "certificate": _certificate_json(result.certificate) if result.certificate else None,
-        "reason": result.reason,
+        **_prediction_json(result),
         "budget": budget.to_json(),
     }
     config = {

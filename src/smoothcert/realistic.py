@@ -23,7 +23,6 @@ from scipy.special import bdtrc, ndtri
 
 from .certify import (
     Abstain,
-    Certificate,
     ProbBounds,
     SampleCounts,
     Side,
@@ -32,13 +31,12 @@ from .certify import (
 )
 from .distributions import Kind, SmoothingDistribution, rayleigh
 from .rng import SeededSampler, _split
-from .runtime import BaseClassifier
+from .runtime import BaseClassifier, PredictionResult, _tally
 from .transforms import conversion_error, gamma_correct, validate_image
 
 __all__ = [
     "ErrorBudget",
     "RealisticConfig",
-    "RealisticResult",
     "error_budget",
     "adjust_probabilities",
     "gaussian_l2_radius",
@@ -47,9 +45,6 @@ __all__ = [
     "estimate_conversion_error",
     "certify_realistic",
 ]
-
-_MISS = -1
-
 
 def error_budget(alpha: float, q_E: float, alpha_E: float) -> float:
     """Total mistake probability rho = alpha + (1 - q_E) + alpha_E.
@@ -273,24 +268,12 @@ def estimate_conversion_error(
     return quantile_upper_confidence(maxima, q_E, alpha_E)
 
 
-@dataclass(frozen=True)
-class RealisticResult:
-    """Outcome of a realistic-setting certification."""
-
-    label: int | None
-    pa_lower: float
-    adjusted: ProbBounds | None
-    certificate: Certificate | None
-    counts: SampleCounts | None
-    reason: str | None = None
-
-    @property
-    def abstained(self) -> bool:
-        return self.label is None
-
-
-def _gaussian_noise(sampler: SeededSampler, count: int, shape: tuple, sigma: float) -> np.ndarray:
-    u = sampler.uniforms(count * int(np.prod(shape)))
+def _gaussian_noise(
+    sampler: SeededSampler, count: int, shape: tuple, sigma: float, start: int = 0
+) -> np.ndarray:
+    """``count`` draws of N(0, sigma^2) noise of ``shape``, from draw index ``start`` on."""
+    size = int(np.prod(shape))
+    u = sampler.uniforms(count * size, start * size)
 
     def transform(lo: int, hi: int) -> None:
         chunk = u[lo:hi]
@@ -307,7 +290,7 @@ def certify_realistic(
     cfg: RealisticConfig,
     budget: ErrorBudget,
     dist: SmoothingDistribution | None = None,
-) -> RealisticResult:
+) -> PredictionResult:
     """Certify through the double-smoothing pipeline and clip to the attack interval.
 
     For each factor draw, the inner Gaussian-smoothed prediction contributes a
@@ -328,46 +311,41 @@ def certify_realistic(
             f"(expected {expected_rho})"
         )
     if not budget.feasible:
-        return RealisticResult(
-            None, 0.0, None, None, None, reason=f"rho={budget.rho} >= 1/2 always abstains"
-        )
+        return PredictionResult(None, 0.0, None, None, reason=f"rho={budget.rho} >= 1/2 always abstains")
 
     law = dist or rayleigh()
     sampler = SeededSampler(cfg.seed)
     factors = law.sample(sampler.stream(0), cfg.n_gamma)
 
-    votes = np.full(cfg.n_gamma, _MISS, dtype=int)
+    robust: list[int] = []  # the inner label of every factor draw that votes
     for j, beta in enumerate(factors):
         transformed = gamma_correct(arr, float(beta))
-        noise = _gaussian_noise(sampler.stream(j + 1), cfg.n_eps, arr.shape, cfg.sigma_gauss)
-        noise += transformed
-        labels = base.labels(noise)
-        candidate = int(np.argmax(np.bincount(labels)))
-        hits = int(np.sum(labels == candidate))
-        pa_inner = clopper_pearson(SampleCounts(hits, cfg.n_eps), cfg.alpha, Side.LOWER)
+
+        def rows(lo: int, hi: int) -> np.ndarray:
+            batch = _gaussian_noise(sampler.stream(j + 1), hi - lo, arr.shape, cfg.sigma_gauss, lo)
+            return np.add(batch, transformed, out=batch)
+
+        inner = _tally(base, rows, cfg.n_eps, arr.size)
+        candidate = int(np.argmax(inner))
+        pa_inner = clopper_pearson(SampleCounts(int(inner[candidate]), cfg.n_eps), cfg.alpha, Side.LOWER)
         radius = gaussian_l2_radius(pa_inner, cfg.sigma_gauss)
         if not isinstance(radius, Abstain) and radius >= budget.E:
-            votes[j] = candidate
+            robust.append(candidate)
 
-    scored = votes[votes != _MISS]
-    if scored.size == 0:
-        return RealisticResult(
-            None,
-            0.0,
-            None,
-            None,
-            SampleCounts(0, cfg.n_gamma),
-            reason="no factor draw produced a robust inner vote",
+    if not robust:
+        return PredictionResult(
+            None, 0.0, None, SampleCounts(0, cfg.n_gamma), reason="no factor draw produced a robust inner vote"
         )
-    label = int(np.argmax(np.bincount(scored)))
-    outer = SampleCounts(int(np.sum(votes == label)), cfg.n_gamma)
+    votes = np.bincount(robust)
+    label = int(np.argmax(votes))
+    outer = SampleCounts(int(votes[label]), cfg.n_gamma)
     pa_lower = clopper_pearson(outer, cfg.alpha, Side.LOWER)
 
     adjusted = adjust_probabilities(pa_lower, 1.0 - pa_lower, budget.rho)
     if isinstance(adjusted, Abstain):
-        return RealisticResult(None, pa_lower, None, None, outer, reason=adjusted.reason)
+        return PredictionResult(None, pa_lower, None, outer, reason=adjusted.reason)
     outcome = certify_rayleigh(adjusted)
     if isinstance(outcome, Abstain):
-        return RealisticResult(None, pa_lower, adjusted, None, outer, reason=outcome.reason)
+        return PredictionResult(None, pa_lower, None, outer, reason=outcome.reason, adjusted=adjusted)
     lo, hi = budget.gamma_interval
-    return RealisticResult(label, pa_lower, adjusted, outcome.clipped(lo, hi), outer)
+    return PredictionResult(label, pa_lower, outcome.clipped(lo, hi), outer, adjusted=adjusted)

@@ -3,8 +3,9 @@
 The smoothed classifier draws random power factors, evaluates the base
 classifier on every transformed copy of the input, and certifies the modal
 label from exact binomial confidence bounds, abstaining when the lower bound
-does not clear 1/2.  Evaluation is batched: base classifiers label a whole
-stack of transformed inputs at once, which keeps 10^5-sample runs fast.
+does not clear 1/2.  One vote tally labels the transformed copies in chunks
+of at most 32 MB, so memory stays flat in the sample count, and the counts are
+the same for any chunking.
 
 Shipped base classifiers are synthetic and analytic on purpose — the
 single-pixel threshold rule admits an exact smoothed probability, making it
@@ -14,6 +15,7 @@ the ground-truth oracle the test suite certifies against.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -29,10 +31,9 @@ from .certify import (
     SampleCounts,
     Side,
     certify_for,
-    certify_rayleigh_closed_form,
     clopper_pearson,
 )
-from .distributions import Kind, SmoothingDistribution, rayleigh
+from .distributions import SmoothingDistribution, rayleigh
 from .rng import SeededSampler, _split
 from .transforms import gamma_correct_batch, read_tensor, validate_image
 
@@ -54,6 +55,8 @@ __all__ = [
 _SELECTION_STREAM = 0
 _ESTIMATION_STREAM = 1
 _PREDICT_STREAM_BASE = 16
+# Doubles of input built and labelled per chunk of a vote tally (32 MB).
+_TALLY_CAP = 2**22
 
 
 class BaseClassifier(ABC):
@@ -245,21 +248,44 @@ class SmoothingConfig:
 
 @dataclass(frozen=True)
 class PredictionResult:
-    """Outcome of one smoothed prediction; certificate present iff not abstained."""
+    """Outcome of one smoothed prediction, plain or realistic.
+
+    The certificate is present iff not abstained, and every abstention names
+    its ``reason``; ``adjusted`` holds the realistic pipeline's shifted bounds.
+    """
 
     label: int | None
     pa_lower: float
     certificate: Certificate | None
-    counts: SampleCounts
+    counts: SampleCounts | None
+    reason: str | None = None
+    adjusted: ProbBounds | None = None
 
     @property
     def abstained(self) -> bool:
         return self.label is None
 
 
-def _modal_label(labels: np.ndarray) -> int:
-    counts = np.bincount(labels)
-    return int(np.argmax(counts))  # ties resolve to the lowest class index
+def _tally(base: BaseClassifier, rows: Callable[[int, int], np.ndarray], n: int, width: int) -> np.ndarray:
+    """Label counts of draws 0..n-1, indexed by label.
+
+    ``rows(lo, hi)`` builds the inputs of draws lo..hi-1, ``width`` doubles
+    each; they are built and labelled one chunk of at most ``_TALLY_CAP``
+    doubles at a time.  Draws are addressed by index and labels are row-pure,
+    so the counts are the same for any chunking.
+    """
+    step = max(1, _TALLY_CAP // width)
+    counts = np.zeros(0, dtype=np.int64)
+    for lo in range(0, n, step):
+        chunk = np.bincount(base.labels(rows(lo, min(lo + step, n))), minlength=counts.size)
+        chunk[: counts.size] += counts
+        counts = chunk
+    return counts
+
+
+def _factor_tally(base, arr, dist, sampler, n, transform) -> np.ndarray:
+    """:func:`_tally` of ``transform(arr, factors)`` over n draws of ``dist`` from ``sampler``."""
+    return _tally(base, lambda lo, hi: transform(arr, dist.sample(sampler, hi - lo, lo)), n, arr.size)
 
 
 def smoothed_predict_certify(
@@ -278,55 +304,46 @@ def smoothed_predict_certify(
     """
     arr = validate_image(x)
     sampler = SeededSampler(cfg.seed)
-
-    selection = cfg.dist.sample(sampler.stream(_SELECTION_STREAM), cfg.n0)
-    candidate = _modal_label(base.labels(transform(arr, selection)))
-
-    estimation = cfg.dist.sample(sampler.stream(_ESTIMATION_STREAM), cfg.n)
-    hits = int(np.sum(base.labels(transform(arr, estimation)) == candidate))
-    counts = SampleCounts(hits, cfg.n)
+    selection = _factor_tally(base, arr, cfg.dist, sampler.stream(_SELECTION_STREAM), cfg.n0, transform)
+    candidate = int(np.argmax(selection))  # ties resolve to the lowest class index
+    estimation = _factor_tally(base, arr, cfg.dist, sampler.stream(_ESTIMATION_STREAM), cfg.n, transform)
+    counts = SampleCounts(int(estimation[candidate]) if candidate < estimation.size else 0, cfg.n)
 
     pa_lower = clopper_pearson(counts, cfg.alpha, Side.LOWER)
     if pa_lower <= 0.5:
-        return PredictionResult(None, pa_lower, None, counts)
-    confidence = 1.0 - cfg.alpha
-    if cfg.dist.kind is Kind.RAYLEIGH:  # the trivial runner-up bound has a closed form
-        outcome = certify_rayleigh_closed_form(pa_lower, confidence)
-    else:
-        outcome = certify_for(cfg.dist, ProbBounds.with_trivial_pb(pa_lower, confidence))
+        return PredictionResult(None, pa_lower, None, counts, reason=f"pa_lower={pa_lower} <= 1/2")
+    outcome = certify_for(cfg.dist, ProbBounds.with_trivial_pb(pa_lower, 1.0 - cfg.alpha))
     if isinstance(outcome, Abstain):
-        return PredictionResult(None, pa_lower, None, counts)
+        return PredictionResult(None, pa_lower, None, counts, reason=outcome.reason)
     return PredictionResult(candidate, pa_lower, outcome, counts)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SmoothedClassifier:
     """Prediction-only handle over the smoothed classifier, for sweeps.
 
-    Each :meth:`predict` call uses the next derived sample stream, so a sweep
-    is deterministic end to end while successive queries stay independent.
-    Holds a call counter: use one instance per thread.
+    :meth:`predict` is a pure function of the seed and the query index it is
+    given: each index draws from its own sample stream, so a sweep that
+    numbers its queries is deterministic end to end while successive queries
+    stay independent, and queries may run on any thread in any order.
     """
 
     base: BaseClassifier
     cfg: SmoothingConfig
     transform: Callable[[np.ndarray, np.ndarray], np.ndarray] = gamma_correct_batch
-    _calls: int = 0
 
-    def predict(self, x: np.ndarray) -> int | None:
-        """Modal label under ``cfg.n`` draws, or None when not confidently above 1/2."""
-        sampler = SeededSampler(self.cfg.seed, _PREDICT_STREAM_BASE + self._calls)
-        self._calls += 1
-        factors = self.cfg.dist.sample(sampler, self.cfg.n)
-        labels = self.base.labels(self.transform(np.asarray(x, dtype=float), factors))
-        candidate = _modal_label(labels)
-        hits = int(np.sum(labels == candidate))
-        pa_lower = clopper_pearson(SampleCounts(hits, self.cfg.n), self.cfg.alpha, Side.LOWER)
+    def predict(self, x: np.ndarray, index: int) -> int | None:
+        """Modal label of query ``index`` under ``cfg.n`` draws, or None when not confidently above 1/2."""
+        arr = np.asarray(x, dtype=float)
+        sampler = SeededSampler(self.cfg.seed, _PREDICT_STREAM_BASE + index)
+        votes = _factor_tally(self.base, arr, self.cfg.dist, sampler, self.cfg.n, self.transform)
+        candidate = int(np.argmax(votes))
+        pa_lower = clopper_pearson(SampleCounts(int(votes[candidate]), self.cfg.n), self.cfg.alpha, Side.LOWER)
         return candidate if pa_lower > 0.5 else None
 
 
 def empirical_sweep(
-    predict: Callable[[np.ndarray], int | None],
+    predict: Callable[[np.ndarray, int], int | None],
     x: np.ndarray,
     step: float,
     gamma_max: float,
@@ -338,16 +355,18 @@ def empirical_sweep(
     Upward in additive increments of ``step`` to ``gamma_max``, downward in
     the same increments to a floor of ``step``; both ends are the last factor
     at which the prediction still matched the factor-1 label.  Returns None
-    when the clean prediction is already wrong (or abstains).
+    when the clean prediction is already wrong (or abstains).  ``predict(x,
+    index)`` gets a running query index: 0 at factor 1, then in walk order.
     """
     if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
     if not gamma_max > 1.0:
         raise ValueError(f"gamma_max must exceed 1, got {gamma_max}")
     arr = validate_image(x)
+    queries = itertools.count()
 
     def predict_at(gamma: float) -> int | None:
-        return predict(transform(arr, np.array([gamma]))[0])
+        return predict(transform(arr, np.array([gamma]))[0], next(queries))
 
     label0 = predict_at(1.0)
     if label0 is None or (expected_label is not None and label0 != expected_label):

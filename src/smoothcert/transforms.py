@@ -75,7 +75,7 @@ def gamma_correct_batch(x, factors: np.ndarray) -> np.ndarray:
     """Apply one power factor per row: result[i] = x ** factors[i].
 
     Returns shape ``(len(factors),) + x.shape``.  The batched form is what the
-    smoothing runtime uses to evaluate all Monte-Carlo draws at once.
+    smoothing runtime uses to evaluate a chunk of Monte-Carlo draws at once.
     """
     arr = validate_image(x)
     factors = np.asarray(factors, dtype=float)

@@ -43,7 +43,7 @@ def certify_rayleigh_explicit(bounds: ProbBounds, params: RayleighParams) -> Cer
     return Certificate(
         _root(res_lo, 1.0, 0.5),
         _root(res_hi, 1.0, 2.0),
-        Method.BISECTION,
+        Method.T_ROOT,
         f"rayleigh(sigma={params.sigma:g})",
         bounds.confidence,
     )

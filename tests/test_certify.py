@@ -721,20 +721,20 @@ class TestExactSoundness:
 class TestCertificateType:
     def test_invariants(self):
         # gamma1 == 0 is the unbounded left end, the mirror of gamma2 == inf
-        assert Certificate(0.0, 2.0, Method.BISECTION, "d", 1.0).contains(1e-300)
+        assert Certificate(0.0, 2.0, Method.T_ROOT, "d", 1.0).contains(1e-300)
         for gamma1 in (-1e-300, -0.5, 1.0 + 1e-12):
             with pytest.raises(ValueError):
-                Certificate(gamma1, 2.0, Method.BISECTION, "d", 1.0)
+                Certificate(gamma1, 2.0, Method.T_ROOT, "d", 1.0)
         with pytest.raises(ValueError):
-            Certificate(0.5, 0.9, Method.BISECTION, "d", 1.0)
+            Certificate(0.5, 0.9, Method.T_ROOT, "d", 1.0)
 
     def test_unbounded_marker(self):
-        cert = Certificate(0.5, math.inf, Method.BISECTION, "d", 1.0)
+        cert = Certificate(0.5, math.inf, Method.T_ROOT, "d", 1.0)
         assert cert.unbounded
         assert cert.contains(1e12)
 
     def test_clipping(self):
-        cert = Certificate(0.3, 2.5, Method.BISECTION, "d", 1.0)
+        cert = Certificate(0.3, 2.5, Method.T_ROOT, "d", 1.0)
         clipped = cert.clipped(0.7, 1.4)
         assert (clipped.gamma1, clipped.gamma2) == (0.7, 1.4)
         with pytest.raises(ValueError):

@@ -54,6 +54,11 @@ def _cases() -> dict[str, list[str]]:
         "smooth", "--input", "<ws>/x.mst1", "--classifier", "<ws>/oracle.json",
         "--n", "500", "--alpha", "0.01", "--seed", "3", "--sweep", "--step", "0.1",
     ]
+    # the smoothed top-class probability of this oracle is exactly 1/2
+    cases["smooth-abstain"] = [
+        "smooth", "--input", "<ws>/x.mst1", "--classifier", "<ws>/half.json",
+        "--n", "500", "--alpha", "0.01", "--seed", "7",
+    ]
     linear = ["--input", "<ws>/image.mst1", "--classifier", "<ws>/linear.json"]
     cases["smooth-linear"] = ["smooth", *linear, "--n", "2000", "--alpha", "0.01", "--seed", "5"]
     # 50 inner draws of 3x16x16 noise: 38,400 values, enough to split the noise over cores
@@ -72,6 +77,9 @@ def _workspace(root: Path) -> Path:
     write_tensor(np.array([0.5]), root / "x.mst1")
     (root / "oracle.json").write_text(
         json.dumps({"type": "threshold", "pixel_value": 0.5, "threshold": 0.25})
+    )
+    (root / "half.json").write_text(
+        json.dumps({"type": "threshold", "pixel_value": 0.5, "threshold": 0.5})
     )
     # A 10-class linear model on an 8-bit 3x16x16 image, all entries in [0, 1]:
     # class 1 beats class 0 while sum(x**beta) stays above its value at

@@ -22,14 +22,17 @@ from smoothcert import (
     error_budget,
     estimate_conversion_error,
     gaussian_l2_radius,
+    load_classifier,
     min_samples_for_quantile_bound,
     quantile_upper_confidence,
     rayleigh,
+    read_tensor,
     smoothed_predict_certify,
 )
-from smoothcert import rng
+from smoothcert import rng, runtime
 from smoothcert.realistic import _gaussian_noise
 from smoothcert.rng import _SPLIT_MIN, SeededSampler
+from test_cli_golden import SIGMAS_GAUSS, _workspace
 
 GAMMA_INTERVAL = (0.71, 1.33)
 
@@ -221,6 +224,26 @@ def test_gaussian_noise_does_not_depend_on_core_count(monkeypatch, count):
         assert _gaussian_noise(sampler, count, shape, 0.75).tobytes() == reference
 
 
+def test_gaussian_noise_from_a_start_index_continues_the_stream():
+    sampler, shape = SeededSampler(6, 4), (2, 3, 5)
+    whole = _gaussian_noise(sampler, 9, shape, 0.5)
+    parts = [_gaussian_noise(sampler, hi - lo, shape, 0.5, lo) for lo, hi in ((0, 2), (2, 7), (7, 9))]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("sigma", SIGMAS_GAUSS)
+def test_realistic_result_does_not_depend_on_the_chunking(monkeypatch, tmp_path, sigma):
+    ws = _workspace(tmp_path)
+    base, x = load_classifier(ws / "linear.json"), read_tensor(ws / "image.mst1")
+    cfg = RealisticConfig.load(ws / f"realistic-sigma{sigma:g}.json")
+    budget = ErrorBudget.load(ws / "budget.json")
+    reference = certify_realistic(base, x, cfg, budget)
+    assert reference.counts.successes > 0  # some inner votes are robust
+    for cap in (x.size, 7 * x.size, 1000 * x.size, 2**40):
+        monkeypatch.setattr(runtime, "_TALLY_CAP", cap)
+        assert certify_realistic(base, x, cfg, budget) == reference, cap
+
+
 class TestCertifyRealistic:
     def test_constant_base_matches_shifted_idealized_certificate(self):
         cfg = RealisticConfig(n_eps=50, n_gamma=200, sigma_gauss=0.25, alpha=0.001, seed=6)
@@ -247,6 +270,7 @@ class TestCertifyRealistic:
         result = certify_realistic(ConstantClassifier(0), np.array([0.5]), cfg, budget)
         assert result.abstained
         assert "rho" in result.reason
+        assert result.counts is None and result.adjusted is None
 
     def test_budget_alpha_consistency_enforced(self):
         cfg = RealisticConfig(n_eps=50, n_gamma=50, sigma_gauss=0.25, alpha=0.01, seed=1)

@@ -1,7 +1,10 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +22,16 @@ from smoothcert import (
     clopper_pearson,
     empirical_sweep,
     exact_oracle_probability,
+    inverse_rayleigh,
     load_classifier,
+    log_gaussian,
+    log_laplace,
+    log_uniform,
     rayleigh,
     smoothed_predict_certify,
     write_tensor,
 )
+from smoothcert import runtime
 from smoothcert.rng import _usable_cores
 
 ORACLE = ThresholdOracle(pixel_value=0.5, threshold=0.25)
@@ -31,7 +39,7 @@ ORACLE = ThresholdOracle(pixel_value=0.5, threshold=0.25)
 
 def unsmoothed(base):
     """Single-input predictor over a base classifier, for sweeps without smoothing."""
-    return lambda x: int(base.labels(np.asarray(x, dtype=float)[np.newaxis, ...])[0])
+    return lambda x, index: int(base.labels(np.asarray(x, dtype=float)[np.newaxis, ...])[0])
 
 
 def config(n=2000, alpha=0.01, seed=7, n0=100) -> SmoothingConfig:
@@ -135,6 +143,15 @@ class TestSmoothedPredictCertify:
         for gamma in np.linspace(result.certificate.gamma1, result.certificate.gamma2, 52)[1:-1]:
             assert exact_oracle_probability(ORACLE, gamma, cfg.dist) > 0.5
 
+    def test_every_abstention_names_its_reason(self):
+        half = ThresholdOracle(0.5, 0.5)  # smoothed top-class probability exactly 1/2
+        result = smoothed_predict_certify(half, half.clean_input(), config(n=500))
+        assert result.abstained and result.certificate is None
+        assert result.reason == f"pa_lower={result.pa_lower} <= 1/2"
+        assert result.adjusted is None
+        certified = smoothed_predict_certify(ORACLE, ORACLE.clean_input(), config())
+        assert certified.reason is None
+
     def test_non_e_base_rejected_for_certification(self):
         from smoothcert import SmoothingDistribution, Kind
 
@@ -161,8 +178,19 @@ class TestEmpiricalSweep:
     def test_wrong_at_identity_gives_empty(self):
         assert empirical_sweep(unsmoothed(ORACLE), ORACLE.clean_input(), 0.01, 3.0, expected_label=0) is None
 
+    def test_queries_are_numbered_in_walk_order(self):
+        seen = []
+
+        def record(x, index):
+            seen.append((float(x[0]), index))
+            return 1 if x[0] >= 0.25 else 0
+
+        empirical_sweep(record, ORACLE.clean_input(), 0.5, 3.0)
+        assert [index for _, index in seen] == list(range(len(seen)))
+        assert [v for v, _ in seen] == pytest.approx([0.5, 0.5**1.5, 0.25, 0.5**2.5, 0.5**0.5])
+
     def test_abstaining_handle_gives_empty(self):
-        assert empirical_sweep(lambda x: None, np.array([0.5]), 0.1, 2.0) is None
+        assert empirical_sweep(lambda x, index: None, np.array([0.5]), 0.1, 2.0) is None
 
     def test_step_validation(self):
         with pytest.raises(ValueError):
@@ -183,6 +211,90 @@ class TestEmpiricalSweep:
         swept_a = empirical_sweep(first.predict, ORACLE.clean_input(), 0.1, 3.0)
         swept_b = empirical_sweep(second.predict, ORACLE.clean_input(), 0.1, 3.0)
         assert swept_a == swept_b
+
+
+class TestSmoothedClassifier:
+    def test_predict_is_a_function_of_the_query_index(self):
+        handle = SmoothedClassifier(ORACLE, config(n=500))
+        inputs = [ORACLE.clean_input() ** g for g in np.linspace(0.5, 2.5, 12)]
+        serial = [handle.predict(x, i) for i, x in enumerate(inputs)]
+        assert None in serial and 1 in serial  # some queries abstain, some do not
+        order = list(range(len(inputs)))
+        random.Random(3).shuffle(order)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                answers = pool.map(lambda i: handle.predict(inputs[i], i), order, timeout=60)
+                shuffled = dict(zip(order, answers))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [shuffled[i] for i in range(len(inputs))] == serial
+        assert handle.predict(inputs[0], 0) == serial[0]
+
+
+LAWS = [rayleigh(), inverse_rayleigh(), log_gaussian(0.5), log_laplace(0.5), log_uniform(0.5)]
+
+
+class CountingClassifier:
+    """Delegates to a base classifier and records the size of every labelled batch."""
+
+    def __init__(self, base):
+        self.base = base
+        self.sizes = []
+
+    def labels(self, batch):
+        self.sizes.append(batch.size)
+        return self.base.labels(batch)
+
+
+def linear_workload(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    image = rng.integers(0, 256, shape) / 255.0
+    return random_linear(image.size, seed=seed), image
+
+
+class TestTally:
+    """Vote counts are exact for any chunking and memory stays bounded in n."""
+
+    @pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.kind.value)
+    def test_results_do_not_depend_on_the_chunking(self, monkeypatch, dist):
+        linear, image = linear_workload((3, 16, 16))
+        workloads = [(ORACLE, ORACLE.clean_input(), 600), (linear, image, 300)]
+        for base, x, n in workloads:
+            cfg = SmoothingConfig(n=n, alpha=0.01, dist=dist, seed=5, n0=50)
+            reference = smoothed_predict_certify(base, x, cfg)
+            for cap in (x.size, 7 * x.size, 1000 * x.size, 2**40):
+                monkeypatch.setattr(runtime, "_TALLY_CAP", cap)
+                assert smoothed_predict_certify(base, x, cfg) == reference, cap
+            monkeypatch.undo()
+
+    def test_no_labelling_call_exceeds_the_cap(self, monkeypatch):
+        linear, image = linear_workload((3, 32, 32))
+        cfg = SmoothingConfig(n=3000, alpha=0.01, seed=1, n0=100)
+        for cap in (runtime._TALLY_CAP, 7 * image.size + 5):
+            monkeypatch.setattr(runtime, "_TALLY_CAP", cap)
+            counting = CountingClassifier(linear)
+            smoothed_predict_certify(counting, image, cfg)
+            assert max(counting.sizes) <= cap
+            assert sum(counting.sizes) == (cfg.n0 + cfg.n) * image.size
+            handle = CountingClassifier(linear)
+            SmoothedClassifier(handle, cfg).predict(image, 0)
+            assert max(handle.sizes) <= cap
+            assert sum(handle.sizes) == cfg.n * image.size
+
+    def test_peak_memory_is_flat_in_n(self):
+        linear, image = linear_workload((3, 32, 32))
+        peaks = []
+        for n in (5_000, 50_000):
+            cfg = SmoothingConfig(n=n, alpha=0.01, seed=2)
+            tracemalloc.start()
+            try:
+                smoothed_predict_certify(linear, image, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 class TestLinearClassifier:
