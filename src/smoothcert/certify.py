@@ -26,13 +26,7 @@ from dataclasses import dataclass
 
 from scipy.special import betainccinv, betaincinv, ndtri
 
-from .distributions import (
-    _LOG_KINDS,
-    Kind,
-    SmoothingDistribution,
-    inverse_rayleigh,
-    rayleigh,
-)
+from .distributions import Kind, SmoothingDistribution, inverse_rayleigh, rayleigh
 
 __all__ = [
     "Method",
@@ -242,18 +236,13 @@ def certify_rayleigh(bounds: ProbBounds) -> Certificate | Abstain:
 
 
 def certify_rayleigh_closed_form(pa_lower: float, confidence: float = 1.0) -> Certificate | Abstain:
-    """Certificate under the trivial runner-up bound pb = 1 - pa.
+    """:func:`certify_rayleigh` under the trivial runner-up bound pb = 1 - pa.
 
     Both t-roots then have a == b, so t = ln(1/2) / ln a: gamma1 =
-    sqrt(ln pa / ln 1/2) and gamma2 = sqrt(ln(1 - pa) / ln 1/2).  Requires
-    pa > 1/2 (at or below 1/2 the interval degenerates to {1}).
+    sqrt(ln pa / ln 1/2) and gamma2 = sqrt(ln(1 - pa) / ln 1/2).  At or below
+    pa = 1/2 the bounds do not separate and the result is an abstention.
     """
-    if not 0.0 < pa_lower < 1.0:
-        raise ValueError(f"pa_lower must lie in (0, 1), got {pa_lower}")
-    if pa_lower <= 0.5:
-        return Abstain(f"pa_lower={pa_lower} <= 1/2 under the trivial runner-up bound")
-    lo, hi = _rayleigh_logs(pa_lower, 1.0 - pa_lower)
-    return _rayleigh_certificate(lo, hi, Method.T_ROOT, rayleigh().descriptor, confidence)
+    return certify_rayleigh(ProbBounds.with_trivial_pb(pa_lower, confidence))
 
 
 def certify_inverse_rayleigh(bounds: ProbBounds) -> Certificate | Abstain:
@@ -297,14 +286,8 @@ def clopper_pearson(counts: SampleCounts, alpha: float, side: Side) -> float:
     raise ValueError(f"unknown side: {side!r}")
 
 
-def log_space_radius(
-    kind: Kind,
-    scale: float,
-    pa_lower: float,
-    pb_upper: float,
-    confidence: float = 1.0,
-) -> Certificate | Abstain:
-    """Certified factor interval from an additive radius in log space (base e).
+def log_space_radius(dist: SmoothingDistribution, bounds: ProbBounds) -> Certificate | Abstain:
+    """Certified factor interval of a log-space law from its additive radius (base e).
 
     The additive radius R follows the standard one-dimensional results for
     each law (Gaussian: half the quantile gap; Laplace: -scale*ln(2(1-pa)),
@@ -312,38 +295,33 @@ def log_space_radius(
     returned interval is (exp(-R), exp(R)), rounded inward.  For the Gaussian
     radius pb = 0 gives the exact limit (0, inf).
     """
-    if kind not in _LOG_KINDS:
-        raise ValueError(f"not a log-space kind: {kind!r}")
-    if not 0.0 < pa_lower < 1.0:
-        raise ValueError(f"pa_lower must lie in (0, 1), got {pa_lower}")
-    if not 0.0 <= pb_upper < 1.0:
-        raise ValueError(f"pb_upper must lie in [0, 1), got {pb_upper}")
-    dist = SmoothingDistribution(kind, scale)
+    if not dist.kind.log_space:
+        raise ValueError(f"not a log-space kind: {dist.kind!r}")
+    pa, pb, scale = bounds.pa_lower, bounds.pb_upper, dist.scale
 
     # size: the terms of R, whose rounding (ndtri within 8 ulps) stays below _LOG_TOL * size
-    if kind is Kind.LOG_LAPLACE:
-        if pa_lower <= 0.5:
-            return Abstain(f"pa_lower={pa_lower} <= 1/2: no Laplace radius")
-        radius = size = -scale * math.log(2.0 * (1.0 - pa_lower))
+    if dist.kind is Kind.LOG_LAPLACE:
+        if pa <= 0.5:
+            return Abstain(f"pa_lower={pa} <= 1/2: no Laplace radius")
+        radius = size = -scale * math.log(2.0 * (1.0 - pa))
     else:
-        if pa_lower <= pb_upper:
-            return Abstain(f"bounds do not separate: {pa_lower} <= {pb_upper}")
-        if kind is Kind.LOG_GAUSSIAN:
-            za, zb = 0.5 * scale * float(ndtri(pa_lower)), 0.5 * scale * float(ndtri(pb_upper))
+        if pa <= pb:
+            return Abstain(f"bounds do not separate: {pa} <= {pb}")
+        if dist.kind is Kind.LOG_GAUSSIAN:
+            za, zb = 0.5 * scale * float(ndtri(pa)), 0.5 * scale * float(ndtri(pb))
             radius, size = za - zb, abs(za) + abs(zb)
         else:
-            radius = size = scale * (pa_lower - pb_upper)
+            radius = size = scale * (pa - pb)
 
-    return Certificate(
-        _inward(-radius, size), _inward(radius, size), Method.LOG_SPACE, dist.descriptor, confidence
-    )
+    lo, hi = _inward(-radius, size), _inward(radius, size)
+    return Certificate(lo, hi, Method.LOG_SPACE, dist.descriptor, bounds.confidence)
 
 
 def certify_for(dist: SmoothingDistribution, bounds: ProbBounds) -> Certificate | Abstain:
     """The certificate rule of the smoothing law ``dist`` applied to ``bounds``.
 
     The one place a :class:`Kind` meets its rule: the Rayleigh t-root, the
-    reciprocal rule, or the log-space radius (defined for base e only).  The
+    reciprocal rule, or the ln-space radius of the log-space laws.  The
     Rayleigh certificates are scale-free, so only the log-space radius reads
     ``dist.scale``.
     """
@@ -351,8 +329,4 @@ def certify_for(dist: SmoothingDistribution, bounds: ProbBounds) -> Certificate 
         return certify_rayleigh(bounds)
     if dist.kind is Kind.INVERSE_RAYLEIGH:
         return certify_inverse_rayleigh(bounds)
-    if not math.isclose(dist.log_base, math.e):
-        raise ValueError("log-space certification is only defined for base e")
-    return log_space_radius(
-        dist.kind, dist.scale, bounds.pa_lower, bounds.pb_upper, bounds.confidence
-    )
+    return log_space_radius(dist, bounds)

@@ -34,11 +34,14 @@ from .certify import (
     certify_rayleigh,
 )
 from .distributions import (
-    _LOG_KINDS,
     Kind,
     RayleighParams,
     SmoothingDistribution,
+    inverse_rayleigh,
     log_gaussian,
+    log_laplace,
+    log_uniform,
+    rayleigh,
 )
 from .realistic import ErrorBudget, RealisticConfig, certify_realistic, estimate_conversion_error
 from .runtime import (
@@ -69,12 +72,13 @@ TABLE_BOUND_PAIRS = [
     (0.999, 0.001),
 ]
 
-_DIST_KINDS = {
-    "rayleigh": Kind.RAYLEIGH,
-    "inv-rayleigh": Kind.INVERSE_RAYLEIGH,
-    "log-gaussian": Kind.LOG_GAUSSIAN,
-    "log-laplace": Kind.LOG_LAPLACE,
-    "log-uniform": Kind.LOG_UNIFORM,
+# Each law's factory, and what it takes for a --scale value.
+_DIST_FACTORIES = {
+    "rayleigh": (rayleigh, RayleighParams),
+    "inv-rayleigh": (inverse_rayleigh, RayleighParams),
+    "log-gaussian": (log_gaussian, float),
+    "log-laplace": (log_laplace, float),
+    "log-uniform": (log_uniform, float),
 }
 
 
@@ -150,11 +154,9 @@ def _emit_csv(header: list[str], rows: list[list], out: str | None, manifest: di
 
 
 def _smoothing_distribution(name: str, scale: float | None) -> SmoothingDistribution:
-    """The law named ``name``; no scale means unit-median sigma, or 1.0 in log space."""
-    kind = _DIST_KINDS[name]
-    if scale is None:
-        scale = 1.0 if kind in _LOG_KINDS else RayleighParams.unit_median().sigma
-    return SmoothingDistribution(kind, scale)
+    """The law named ``name``; no scale means its factory's default."""
+    factory, argument = _DIST_FACTORIES[name]
+    return factory() if scale is None else factory(argument(scale))
 
 
 # --- table ------------------------------------------------------------------
@@ -368,9 +370,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     """
     started = time.perf_counter()
     dists = [d.strip() for d in args.dists.split(",") if d.strip()]
-    unknown = [d for d in dists if d not in _DIST_KINDS]
+    unknown = [d for d in dists if d not in _DIST_FACTORIES]
     if unknown:
-        raise ValueError(f"unknown distributions: {unknown} (choose from {list(_DIST_KINDS)})")
+        raise ValueError(f"unknown distributions: {unknown} (choose from {list(_DIST_FACTORIES)})")
     pa_grid = _parse_pa_grid(args.pa_grid)
 
     rows = []
@@ -380,9 +382,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         pb = 1.0 - pa
         rayleigh_cert: Certificate | None = None
         for name in dists:
-            # --scale sets the log-space laws only; the Rayleigh ones stay unit-median
-            scale = args.scale if _DIST_KINDS[name] in _LOG_KINDS else None
-            dist = _smoothing_distribution(name, scale)
+            dist = _smoothing_distribution(name, None)
+            if dist.kind.log_space:  # --scale sets the log-space laws only
+                dist = _smoothing_distribution(name, args.scale)
             outcome = certify_for(dist, ProbBounds(pa, pb))
             if dist.kind is Kind.RAYLEIGH and isinstance(outcome, Certificate):
                 rayleigh_cert = outcome
@@ -440,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pa", type=float, required=True, help="lower bound on the top-class probability")
     p.add_argument("--pb", type=float, help="upper bound on the runner-up probability")
     p.add_argument("--trivial-pb", action="store_true", help="use pb = 1 - pa")
-    p.add_argument("--dist", choices=list(_DIST_KINDS), default="rayleigh")
+    p.add_argument("--dist", choices=list(_DIST_FACTORIES), default="rayleigh")
     p.add_argument("--scale", type=float, help="distribution scale (defaults: unit-median sigma / 1.0)")
     p.add_argument("--json", action="store_true", help="emit a JSON report instead of plain text")
     p.set_defaults(func=cmd_cert)
@@ -452,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n0", type=int, default=100, help="selection sample count")
     p.add_argument("--alpha", type=float, required=True, help="mistake probability budget")
     p.add_argument("--seed", type=int, help=f"seed (default: ${_SEED_ENV} or 0)")
-    p.add_argument("--dist", choices=list(_DIST_KINDS), default="rayleigh")
+    p.add_argument("--dist", choices=list(_DIST_FACTORIES), default="rayleigh")
     p.add_argument("--scale", type=float)
     p.add_argument("--sweep", action="store_true", help="also walk the empirical robustness interval")
     p.add_argument("--step", type=float, default=0.01, help="sweep step")

@@ -2,8 +2,8 @@
 
 All laws here have strictly positive support: the Rayleigh family used for
 direct multiplicative smoothing, its reciprocal, and log-space wrappers of the
-usual symmetric laws (Gaussian, Laplace, uniform) used as comparison
-baselines.  Each exposes an exact CDF, quantile and density, plus seeded
+usual symmetric laws (Gaussian, Laplace, uniform) taken in base e, used as
+comparison baselines.  Each exposes an exact CDF and quantile, plus seeded
 inverse-CDF sampling via :class:`~smoothcert.rng.SeededSampler`.
 """
 
@@ -58,8 +58,10 @@ class Kind(enum.Enum):
     LOG_LAPLACE = "log-laplace"
     LOG_UNIFORM = "log-uniform"
 
-
-_LOG_KINDS = frozenset({Kind.LOG_GAUSSIAN, Kind.LOG_LAPLACE, Kind.LOG_UNIFORM})
+    @property
+    def log_space(self) -> bool:
+        """True for the laws of exp(A), A a symmetric additive law."""
+        return self in (Kind.LOG_GAUSSIAN, Kind.LOG_LAPLACE, Kind.LOG_UNIFORM)
 
 
 @dataclass(frozen=True)
@@ -68,29 +70,21 @@ class SmoothingDistribution:
 
     ``scale`` is the Rayleigh sigma for the Rayleigh kinds, and the scale of
     the underlying additive law (standard deviation, Laplace scale, or support
-    half-width) for the log-space kinds.  ``log_base`` applies only to the
-    log-space kinds and defaults to e.
+    half-width) for the log-space kinds, whose logarithm is the natural one.
     """
 
     kind: Kind
     scale: float
-    log_base: float = math.e
 
     def __post_init__(self) -> None:
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValueError(f"scale must be a positive finite real, got {self.scale}")
-        if self.kind in _LOG_KINDS:
-            if not (self.log_base > 0.0 and self.log_base != 1.0 and math.isfinite(self.log_base)):
-                raise ValueError(f"log_base must be positive and != 1, got {self.log_base}")
 
     @property
     def descriptor(self) -> str:
-        if self.kind in _LOG_KINDS:
-            return f"{self.kind.value}(scale={self.scale:g}, base={self.log_base:g})"
+        if self.kind.log_space:
+            return f"{self.kind.value}(scale={self.scale:g}, base={math.e:g})"
         return f"{self.kind.value}(sigma={self.scale:g})"
-
-    def _log(self, z: np.ndarray) -> np.ndarray:
-        return np.log(z) / math.log(self.log_base)
 
     def cdf(self, z):
         """P(Z <= z); 0 below the support, approaching 1 at +inf."""
@@ -107,7 +101,7 @@ class SmoothingDistribution:
                 )
         else:
             zsafe = np.maximum(z_arr, 1e-300)
-            out = np.where(z_arr <= 0.0, 0.0, self._additive_cdf(self._log(zsafe)))
+            out = np.where(z_arr <= 0.0, 0.0, self._additive_cdf(np.log(zsafe)))
         return float(out) if np.isscalar(z) else out
 
     def quantile(self, p):
@@ -125,25 +119,9 @@ class SmoothingDistribution:
                     1.0 / (self.scale * np.sqrt(-2.0 * np.log(np.maximum(p_arr, 1e-300)))),
                 )
         else:
-            out = np.power(self.log_base, self._additive_quantile(p_arr))
+            # np.power, not np.exp: the two differ in the last bit, which would move every draw
+            out = np.power(math.e, self._additive_quantile(p_arr))
         return float(out) if np.isscalar(p) else out
-
-    def pdf(self, z):
-        """Density with respect to Lebesgue measure on the positive reals."""
-        z_arr = np.asarray(z, dtype=float)
-        s = self.scale
-        if self.kind is Kind.RAYLEIGH:
-            out = np.where(z_arr < 0.0, 0.0, z_arr / s**2 * np.exp(-(z_arr**2) / (2 * s**2)))
-        elif self.kind is Kind.INVERSE_RAYLEIGH:
-            zsafe = np.maximum(z_arr, 1e-300)
-            out = np.where(
-                z_arr <= 0.0, 0.0, np.exp(-1.0 / (2 * s**2 * zsafe**2)) / (s**2 * zsafe**3)
-            )
-        else:
-            zsafe = np.maximum(z_arr, 1e-300)
-            jac = 1.0 / (zsafe * math.log(self.log_base))
-            out = np.where(z_arr <= 0.0, 0.0, self._additive_pdf(self._log(zsafe)) * jac)
-        return float(out) if np.isscalar(z) else out
 
     def sample(self, sampler: SeededSampler, count: int, start: int = 0) -> np.ndarray:
         """``count`` i.i.d. draws at absolute draw indices ``start..``.
@@ -179,14 +157,6 @@ class SmoothingDistribution:
                 )
         return s * (2.0 * p - 1.0)
 
-    def _additive_pdf(self, a: np.ndarray) -> np.ndarray:
-        s = self.scale
-        if self.kind is Kind.LOG_GAUSSIAN:
-            return np.exp(-(a**2) / (2 * s**2)) / (s * math.sqrt(2 * math.pi))
-        if self.kind is Kind.LOG_LAPLACE:
-            return np.exp(-np.abs(a) / s) / (2 * s)
-        return np.where(np.abs(a) <= s, 1.0 / (2 * s), 0.0)
-
 
 def rayleigh(params: RayleighParams | None = None) -> SmoothingDistribution:
     """Rayleigh smoothing law, unit-median scale by default."""
@@ -200,13 +170,13 @@ def inverse_rayleigh(params: RayleighParams | None = None) -> SmoothingDistribut
     return SmoothingDistribution(Kind.INVERSE_RAYLEIGH, params.sigma)
 
 
-def log_gaussian(scale: float = 1.0, log_base: float = math.e) -> SmoothingDistribution:
-    return SmoothingDistribution(Kind.LOG_GAUSSIAN, scale, log_base)
+def log_gaussian(scale: float = 1.0) -> SmoothingDistribution:
+    return SmoothingDistribution(Kind.LOG_GAUSSIAN, scale)
 
 
-def log_laplace(scale: float = 1.0, log_base: float = math.e) -> SmoothingDistribution:
-    return SmoothingDistribution(Kind.LOG_LAPLACE, scale, log_base)
+def log_laplace(scale: float = 1.0) -> SmoothingDistribution:
+    return SmoothingDistribution(Kind.LOG_LAPLACE, scale)
 
 
-def log_uniform(scale: float = 1.0, log_base: float = math.e) -> SmoothingDistribution:
-    return SmoothingDistribution(Kind.LOG_UNIFORM, scale, log_base)
+def log_uniform(scale: float = 1.0) -> SmoothingDistribution:
+    return SmoothingDistribution(Kind.LOG_UNIFORM, scale)

@@ -31,7 +31,7 @@ from .certify import (
 )
 from .distributions import Kind, SmoothingDistribution, rayleigh
 from .rng import SeededSampler, _split
-from .runtime import BaseClassifier, PredictionResult, _tally
+from .runtime import BaseClassifier, PredictionResult, _fields, _tally
 from .transforms import conversion_error, gamma_correct, validate_image
 
 __all__ = [
@@ -114,13 +114,16 @@ class ErrorBudget:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "ErrorBudget":
-        lo, hi = doc["gamma_interval"]
-        return cls(float(doc["E"]), float(doc["q_E"]), float(doc["alpha_E"]), float(doc["rho"]), (lo, hi))
+    def from_json(cls, doc, source="budget") -> "ErrorBudget":
+        E, q_E, alpha_E, rho = _fields(doc, source, E=float, q_E=float, alpha_E=float, rho=float)
+        pair = doc.get("gamma_interval")
+        if not (type(pair) is list and len(pair) == 2 and all(type(v) in (int, float) for v in pair)):
+            raise ValueError(f"{source}: field 'gamma_interval' must be two numbers, got {json.dumps(pair)}")
+        return cls(E, q_E, alpha_E, rho, tuple(pair))
 
     @classmethod
     def load(cls, path) -> "ErrorBudget":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return cls.from_json(json.loads(Path(path).read_text()), path)
 
 
 @dataclass(frozen=True)
@@ -143,10 +146,6 @@ class RealisticConfig:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
 
-    @property
-    def total_samples(self) -> int:
-        return self.n_eps * self.n_gamma
-
     def to_json(self) -> dict:
         return {
             "n_eps": self.n_eps,
@@ -157,18 +156,12 @@ class RealisticConfig:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "RealisticConfig":
-        return cls(
-            int(doc["n_eps"]),
-            int(doc["n_gamma"]),
-            float(doc["sigma_gauss"]),
-            float(doc["alpha"]),
-            int(doc["seed"]),
-        )
+    def from_json(cls, doc, source="config") -> "RealisticConfig":
+        return cls(*_fields(doc, source, n_eps=int, n_gamma=int, sigma_gauss=float, alpha=float, seed=int))
 
     @classmethod
     def load(cls, path) -> "RealisticConfig":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return cls.from_json(json.loads(Path(path).read_text()), path)
 
 
 def adjust_probabilities(pa_lower: float, pb_upper: float, rho: float) -> ProbBounds | Abstain:

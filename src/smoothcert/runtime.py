@@ -192,6 +192,23 @@ class LinearClassifier(BaseClassifier):
         return f"linear(classes={self.weights.shape[0]}, features={self.weights.shape[1]})"
 
 
+def _fields(doc, source, **kinds: type) -> list:
+    """The named fields of the JSON manifest ``doc`` read from ``source``, as float, int or str.
+
+    An int field takes a number without a fraction, as the schemas' "integer"
+    does.  A ``doc`` that is no object, or a field that is missing, null, a
+    boolean or of another kind, raises a ValueError naming ``source`` and the field.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{source}: expected a JSON object")
+    for name, kind in kinds.items():
+        value = doc.get(name)
+        fits = type(value) is str if kind is str else type(value) in (int, float)
+        if not fits or kind is int and value % 1:
+            raise ValueError(f"{source}: field {name!r} must be {kind.__name__}, got {json.dumps(value)}")
+    return [kind(doc[name]) for name, kind in kinds.items()]
+
+
 def load_classifier(manifest_path) -> BaseClassifier:
     """Build a base classifier from a JSON manifest.
 
@@ -202,23 +219,26 @@ def load_classifier(manifest_path) -> BaseClassifier:
     """
     manifest_path = Path(manifest_path)
     spec = json.loads(manifest_path.read_text())
+    if not isinstance(spec, dict):
+        raise ValueError(f"{manifest_path}: expected a JSON object")
     if "weights" in spec:
-        weights = read_tensor(manifest_path.parent / spec["weights"])
-        bias = read_tensor(manifest_path.parent / spec["bias"])
+        weights_file, bias_file, classes = _fields(spec, manifest_path, weights=str, bias=str, classes=int)
+        weights = read_tensor(manifest_path.parent / weights_file)
+        bias = read_tensor(manifest_path.parent / bias_file)
         classifier = LinearClassifier(weights, bias.reshape(-1))
-        if classifier.weights.shape[0] != int(spec["classes"]):
+        if classifier.weights.shape[0] != classes:
             raise ValueError(
-                f"{manifest_path}: manifest declares {spec['classes']} classes, "
+                f"{manifest_path}: manifest declares {classes} classes, "
                 f"weights have {classifier.weights.shape[0]}"
             )
         return classifier
     kind = spec.get("type")
     if kind == "threshold":
-        return ThresholdOracle(float(spec["pixel_value"]), float(spec["threshold"]))
+        return ThresholdOracle(*_fields(spec, manifest_path, pixel_value=float, threshold=float))
     if kind == "constant":
-        return ConstantClassifier(int(spec["label"]))
+        return ConstantClassifier(*_fields(spec, manifest_path, label=int))
     if kind == "hash":
-        return HashLabelClassifier(int(spec["classes"]))
+        return HashLabelClassifier(*_fields(spec, manifest_path, classes=int))
     raise ValueError(f"{manifest_path}: unrecognized classifier manifest")
 
 

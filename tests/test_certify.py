@@ -25,7 +25,10 @@ from smoothcert import (
     certify_rayleigh,
     certify_rayleigh_closed_form,
     clopper_pearson,
+    log_gaussian,
+    log_laplace,
     log_space_radius,
+    log_uniform,
     rayleigh,
 )
 
@@ -542,31 +545,31 @@ class TestCertifyFromCounts:
 
 class TestLogSpaceRadius:
     def test_gaussian_interval(self):
-        cert = log_space_radius(Kind.LOG_GAUSSIAN, 1.0, 0.93319, 1.0 - 0.93319)
+        cert = log_space_radius(log_gaussian(1.0), ProbBounds.with_trivial_pb(0.93319))
         assert abs(math.log(cert.gamma2) - 1.5) < 1e-3
         assert abs(cert.gamma1 - 0.2231) < 1e-3
         assert abs(cert.gamma2 - 4.4817) < 2e-3
 
     def test_uniform_no_margin(self):
-        cert = log_space_radius(Kind.LOG_UNIFORM, 2.0, 0.5 + 1e-9, 0.5 - 1e-9)
+        cert = log_space_radius(log_uniform(2.0), ProbBounds(0.5 + 1e-9, 0.5 - 1e-9))
         assert abs(math.log(cert.gamma2)) < 1e-6
 
     def test_laplace_half_doubling(self):
-        cert = log_space_radius(Kind.LOG_LAPLACE, 1.0, 0.75, 0.25)
+        cert = log_space_radius(log_laplace(1.0), ProbBounds(0.75, 0.25))
         assert abs(cert.gamma1 - 0.5) < 1e-12
         assert abs(cert.gamma2 - 2.0) < 1e-12
 
     def test_laplace_abstains_below_half(self):
-        assert isinstance(log_space_radius(Kind.LOG_LAPLACE, 1.0, 0.45, 0.55), Abstain)
+        assert isinstance(log_space_radius(log_laplace(1.0), ProbBounds(0.45, 0.55)), Abstain)
 
     def test_laplace_abstains_at_half(self):
         # radius -ln(2 (1 - pa)) is 0 at pa = 1/2: the degenerate interval (1, 1)
-        assert isinstance(log_space_radius(Kind.LOG_LAPLACE, 1.0, 0.5, 0.5), Abstain)
-        assert isinstance(log_space_radius(Kind.LOG_LAPLACE, 1.0, 0.5, 0.05), Abstain)
+        assert isinstance(log_space_radius(log_laplace(1.0), ProbBounds(0.5, 0.5)), Abstain)
+        assert isinstance(log_space_radius(log_laplace(1.0), ProbBounds(0.5, 0.05)), Abstain)
 
     def test_rejects_direct_kinds(self):
         with pytest.raises(ValueError):
-            log_space_radius(Kind.RAYLEIGH, 1.0, 0.9, 0.1)
+            log_space_radius(rayleigh(), ProbBounds(0.9, 0.1))
 
     @pytest.mark.parametrize(
         "kind,scale,pa",
@@ -583,7 +586,7 @@ class TestLogSpaceRadius:
         The certified radius must put the worst-case adversarial probability
         above 1/2 just inside and below 1/2 just outside.
         """
-        cert = log_space_radius(kind, scale, pa, 1.0 - pa)
+        cert = log_space_radius(SmoothingDistribution(kind, scale), ProbBounds.with_trivial_pb(pa))
         radius = math.log(cert.gamma2)
         grid = np.linspace(-12.0 * scale, 12.0 * scale, 200_001)
         pdf = {
@@ -597,17 +600,13 @@ class TestLogSpaceRadius:
             assert (worst > 0.5) == expect_robust
 
 
-def _log_space_rule(dist, bounds):
-    return log_space_radius(dist.kind, dist.scale, bounds.pa_lower, bounds.pb_upper, bounds.confidence)
-
-
 # The rule of each law, called directly; a Kind missing here fails the dispatch test.
 DIRECT_RULES = {
     Kind.RAYLEIGH: lambda dist, bounds: certify_rayleigh(bounds),
     Kind.INVERSE_RAYLEIGH: lambda dist, bounds: certify_inverse_rayleigh(bounds),
-    Kind.LOG_GAUSSIAN: _log_space_rule,
-    Kind.LOG_LAPLACE: _log_space_rule,
-    Kind.LOG_UNIFORM: _log_space_rule,
+    Kind.LOG_GAUSSIAN: log_space_radius,
+    Kind.LOG_LAPLACE: log_space_radius,
+    Kind.LOG_UNIFORM: log_space_radius,
 }
 
 
@@ -626,12 +625,6 @@ class TestCertifyFor:
         assert type(outcome) is type(expected)
         # method, distribution, confidence and bit-equal endpoints (all positive)
         assert outcome == expected
-
-    @pytest.mark.parametrize("kind", [Kind.LOG_GAUSSIAN, Kind.LOG_LAPLACE, Kind.LOG_UNIFORM])
-    @pytest.mark.parametrize("base", [2.0, 10.0])
-    def test_log_space_rejects_other_bases(self, kind, base):
-        with pytest.raises(ValueError, match="base e"):
-            certify_for(SmoothingDistribution(kind, 1.0, base), ProbBounds(0.9, 0.1))
 
 
 def _np_worst_case(pdf, grid, pa, delta) -> float:

@@ -292,6 +292,78 @@ class TestRealisticCommand:
         )
         assert code == EXIT_ERROR
 
+    def _run_with(self, capsys, workspace, **replaced):
+        """Run `realistic` with each named manifest ("budget", "config", "classifier") replaced."""
+        paths = {"budget": "budget.json", "config": "config.json", "classifier": "constant.json"}
+        for role, doc in replaced.items():
+            paths[role] = f"bad-{role}.json"
+            (workspace / paths[role]).write_text(json.dumps(doc))
+        return run(
+            capsys,
+            [
+                "realistic",
+                "--budget", str(workspace / paths["budget"]),
+                "--config", str(workspace / paths["config"]),
+                "--input", str(workspace / "x.mst1"),
+                "--classifier", str(workspace / paths["classifier"]),
+            ],
+        )
+
+    @staticmethod
+    def _assert_one_error_line(code, out, err, *named):
+        assert code == EXIT_ERROR
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("smoothcert: error: ")
+        assert all(word in lines[0] for word in named)
+
+    @pytest.mark.parametrize(
+        "edit,field",
+        [
+            (lambda doc: [1, 2], "bad-budget.json"),
+            (lambda doc: {**doc, "E": None}, "'E'"),
+            (lambda doc: {**doc, "q_E": "0.9"}, "'q_E'"),
+            (lambda doc: {**doc, "gamma_interval": 0.8}, "'gamma_interval'"),
+            (lambda doc: {**doc, "gamma_interval": [0.7, None]}, "'gamma_interval'"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "rho"}, "'rho'"),
+        ],
+        ids=["list", "null", "string", "scalar-interval", "null-in-interval", "missing"],
+    )
+    def test_malformed_budget_field_exits_one(self, capsys, workspace, edit, field):
+        doc = edit(json.loads((workspace / "budget.json").read_text()))
+        self._assert_one_error_line(*self._run_with(capsys, workspace, budget=doc), "bad-budget.json", field)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n_eps", None), ("n_gamma", 50.7), ("seed", True), ("sigma_gauss", [0.05])],
+    )
+    def test_malformed_config_field_exits_one(self, capsys, workspace, field, value):
+        doc = {**json.loads((workspace / "config.json").read_text()), field: value}
+        self._assert_one_error_line(
+            *self._run_with(capsys, workspace, config=doc), "bad-config.json", repr(field)
+        )
+
+    def test_integral_float_count_reads_as_its_integer(self, capsys, workspace):
+        doc = json.loads((workspace / "config.json").read_text())
+        code, out, _ = self._run_with(capsys, workspace, config={**doc, "n_gamma": 150.0})
+        assert code == EXIT_OK
+        assert json.loads(out)["manifest"]["config"]["config"]["n_gamma"] == 150
+
+    @pytest.mark.parametrize(
+        "doc,field",
+        [
+            ([], "bad-classifier.json"),
+            ({"type": "threshold", "pixel_value": None, "threshold": 0.25}, "'pixel_value'"),
+            ({"type": "constant", "label": 1.5}, "'label'"),
+            ({"type": "hash", "classes": "3"}, "'classes'"),
+            ({"weights": None, "bias": "b.mst1", "classes": 2}, "'weights'"),
+        ],
+        ids=["list", "null", "fraction", "string", "null-path"],
+    )
+    def test_malformed_classifier_field_exits_one(self, capsys, workspace, doc, field):
+        result = self._run_with(capsys, workspace, classifier=doc)
+        self._assert_one_error_line(*result, "bad-classifier.json", field)
+
 
 class TestEstimateError:
     def test_binary_dataset_gives_zero(self, capsys, tmp_path):

@@ -1,11 +1,13 @@
-"""The package namespace is exactly the union of the modules' ``__all__`` lists."""
+"""The package namespace is exactly the union of the modules' ``__all__`` lists,
+and the CLI uses no private name of the package."""
 
+import ast
 import inspect
 
 import pytest
 
 import smoothcert
-from smoothcert import certify, distributions, multicert, realistic, rng, runtime, transforms
+from smoothcert import certify, cli, distributions, multicert, realistic, rng, runtime, transforms
 
 MODULES = [certify, distributions, multicert, realistic, rng, runtime, transforms]
 
@@ -22,3 +24,17 @@ def test_package_reexports_exactly_the_module_lists():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert exported == set().union(*(module.__all__ for module in MODULES))
+
+
+def test_cli_imports_no_private_package_name():
+    """The CLI builds on the public API only: no ``from .module import _name``."""
+    tree = ast.parse(inspect.getsource(cli))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("smoothcert"))
+        for alias in node.names
+        if alias.name.startswith("_") and alias.name != "__version__"
+    ]
+    assert private == []

@@ -343,10 +343,6 @@ class TestCertifyRealistic:
 
 
 class TestRealisticConfig:
-    def test_total_samples(self):
-        cfg = RealisticConfig(n_eps=50, n_gamma=40, sigma_gauss=0.25, alpha=0.001)
-        assert cfg.total_samples == 2000
-
     def test_json_roundtrip(self, tmp_path):
         cfg = RealisticConfig(n_eps=5, n_gamma=7, sigma_gauss=0.3, alpha=0.01, seed=12)
         (tmp_path / "c.json").write_text(__import__("json").dumps(cfg.to_json()))

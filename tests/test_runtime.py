@@ -152,14 +152,6 @@ class TestSmoothedPredictCertify:
         certified = smoothed_predict_certify(ORACLE, ORACLE.clean_input(), config())
         assert certified.reason is None
 
-    def test_non_e_base_rejected_for_certification(self):
-        from smoothcert import SmoothingDistribution, Kind
-
-        dist = SmoothingDistribution(Kind.LOG_UNIFORM, 1.0, log_base=2.0)
-        cfg = SmoothingConfig(n=1000, alpha=0.01, dist=dist, seed=1)
-        with pytest.raises(ValueError, match="base e"):
-            smoothed_predict_certify(ConstantClassifier(0), np.array([0.5]), cfg)
-
 
 class TestEmpiricalSweep:
     def test_unsmoothed_oracle_flips_exactly_at_two(self):
