@@ -31,7 +31,7 @@ from .certify import (
 )
 from .distributions import Kind, SmoothingDistribution, rayleigh
 from .rng import SeededSampler, _split
-from .runtime import BaseClassifier, PredictionResult, _fields, _tally
+from .runtime import BaseClassifier, PredictionResult, _fields, _is_finite_double, _tally
 from .transforms import conversion_error, gamma_correct, validate_image
 
 __all__ = [
@@ -117,8 +117,8 @@ class ErrorBudget:
     def from_json(cls, doc, source="budget") -> "ErrorBudget":
         E, q_E, alpha_E, rho = _fields(doc, source, E=float, q_E=float, alpha_E=float, rho=float)
         pair = doc.get("gamma_interval")
-        if not (type(pair) is list and len(pair) == 2 and all(type(v) in (int, float) for v in pair)):
-            raise ValueError(f"{source}: field 'gamma_interval' must be two numbers, got {json.dumps(pair)}")
+        if not (type(pair) is list and len(pair) == 2 and all(map(_is_finite_double, pair))):
+            raise ValueError(f"{source}: field 'gamma_interval' must be two finite numbers, got {json.dumps(pair)}")
         return cls(E, q_E, alpha_E, rho, tuple(pair))
 
     @classmethod
@@ -261,20 +261,28 @@ def estimate_conversion_error(
     return quantile_upper_confidence(maxima, q_E, alpha_E)
 
 
+def _noisy_rows(sampler: SeededSampler, start: int, sigma: float, out: np.ndarray, image=None) -> None:
+    """Writes draws ``start..`` of N(0, sigma^2) noise, plus ``image`` if given, into the rows of ``out``.
+
+    Runs on the calling thread: it is the per-core kernel of both
+    :func:`_gaussian_noise` and the realistic inner rows.  ``out`` must be
+    contiguous, one draw per leading index.
+    """
+    flat = out.reshape(-1)
+    sampler._fill(flat, start * math.prod(out.shape[1:]))
+    ndtri(flat, out=flat)
+    flat *= sigma
+    if image is not None:
+        np.add(out, image, out=out)
+
+
 def _gaussian_noise(
     sampler: SeededSampler, count: int, shape: tuple, sigma: float, start: int = 0
 ) -> np.ndarray:
     """``count`` draws of N(0, sigma^2) noise of ``shape``, from draw index ``start`` on."""
-    size = int(np.prod(shape))
-    u = sampler.uniforms(count * size, start * size)
-
-    def transform(lo: int, hi: int) -> None:
-        chunk = u[lo:hi]
-        ndtri(chunk, out=chunk)
-        chunk *= sigma
-
-    _split(transform, u.size)
-    return u.reshape((count,) + shape)
+    out = np.empty((count,) + tuple(shape))
+    _split(lambda lo, hi: _noisy_rows(sampler, start + lo, sigma, out[lo:hi]), count, math.prod(shape))
+    return out
 
 
 def certify_realistic(
@@ -310,17 +318,29 @@ def certify_realistic(
     sampler = SeededSampler(cfg.seed)
     factors = law.sample(sampler.stream(0), cfg.n_gamma)
 
+    n_eps = cfg.n_eps
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        # Row j * n_eps + i is inner draw i under factor draw j: stream j + 1
+        # at draw index i, shifted by the j-th transformed image.  Images and
+        # streams are made here, on the calling thread, for this chunk only.
+        draws = range(lo // n_eps, (hi - 1) // n_eps + 1)
+        images = {j: gamma_correct(arr, float(factors[j])) for j in draws}
+        streams = {j: sampler.stream(j + 1) for j in draws}
+        out = np.empty((hi - lo,) + arr.shape)
+
+        def build(a: int, b: int) -> None:
+            for j in range((lo + a) // n_eps, (lo + b - 1) // n_eps + 1):
+                first, last = max(lo + a, j * n_eps), min(lo + b, (j + 1) * n_eps)
+                _noisy_rows(streams[j], first - j * n_eps, cfg.sigma_gauss, out[first - lo : last - lo], images[j])
+
+        _split(build, hi - lo, arr.size)
+        return out
+
     robust: list[int] = []  # the inner label of every factor draw that votes
-    for j, beta in enumerate(factors):
-        transformed = gamma_correct(arr, float(beta))
-
-        def rows(lo: int, hi: int) -> np.ndarray:
-            batch = _gaussian_noise(sampler.stream(j + 1), hi - lo, arr.shape, cfg.sigma_gauss, lo)
-            return np.add(batch, transformed, out=batch)
-
-        inner = _tally(base, rows, cfg.n_eps, arr.size)
+    for inner in _tally(base, rows, cfg.n_gamma * n_eps, arr.size, n_eps):
         candidate = int(np.argmax(inner))
-        pa_inner = clopper_pearson(SampleCounts(int(inner[candidate]), cfg.n_eps), cfg.alpha, Side.LOWER)
+        pa_inner = clopper_pearson(SampleCounts(int(inner[candidate]), n_eps), cfg.alpha, Side.LOWER)
         radius = gaussian_l2_radius(pa_inner, cfg.sigma_gauss)
         if not isinstance(radius, Abstain) and radius >= budget.E:
             robust.append(candidate)

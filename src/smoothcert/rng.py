@@ -10,11 +10,15 @@ usable core fills one contiguous chunk of the index range from its own
 generator advanced to the chunk's first block, and the result is the same
 bits as one sequential fill.
 
-The same split helper runs the other element-wise or row-wise kernels that
-follow a fill: the squared-factor transform (``multicert``), the inverse
-normal CDF and scaling of the inner Gaussian noise (``realistic``), and
-linear scoring by row chunks (``runtime``).  Each computes every element or
-row on its own, so the split never changes a bit.
+The same split helper runs the other element-wise or row-wise kernels: the
+squared-factor transform that follows a fill (``multicert``); the Gaussian
+noise rows of ``realistic``, where each core fills its rows, applies the
+inverse normal CDF, scales and, in the inner loop, adds the transformed
+image, one factor draw per core; and linear scoring by row chunks
+(``runtime``).  Each computes every element or row on its own, so the split
+never changes a bit.  The noise kernels fill through the private
+:meth:`SeededSampler._fill`, the fill that :meth:`SeededSampler.uniforms`
+runs per chunk, so both read the same bits at the same address.
 """
 
 from __future__ import annotations
@@ -74,11 +78,14 @@ def _split(kernel: Callable[[int, int], None], size: int, width: int = 1) -> Non
     core, each starting on a multiple of 8 doubles.  The calling thread runs
     the first chunk, then any chunk no pool worker has started yet, so a
     worker that is slow to start (another thread holds its core) does not
-    hold the caller up.  Small totals, or one core, run inline.  The kernel
-    must write disjoint slices and call no smoothcert function, so that
-    per-call instrumentation (such as ``perfbench``'s span tracer) only ever
-    sees the calling thread.  An exception from any chunk is raised only once
-    every chunk that started has finished.
+    hold the caller up.  Small totals, or one core, run inline.  The kernels
+    in use are listed in the module docstring.  A kernel must write disjoint
+    slices and call no public smoothcert function or method and no base
+    classifier (private helpers such as :meth:`SeededSampler._fill` are
+    fine), so that per-call instrumentation (such as ``perfbench``'s span
+    tracer, whose span stack is not thread-safe) only ever sees the calling
+    thread.  An exception from any chunk is raised only once every chunk that
+    started has finished.
     """
     global _pool
     cores = _usable_cores()
@@ -149,16 +156,23 @@ class SeededSampler:
             raise ValueError(f"count must be nonnegative, got {count}")
         if start < 0:
             raise ValueError(f"start must be nonnegative, got {start}")
-        block, offset = divmod(start, _WORDS_PER_BLOCK)
-        key = np.array([self.seed, self.stream_index], dtype=np.uint64)
+        # Chunks of the block-aligned buffer start on whole Philox blocks.
+        offset = start % _WORDS_PER_BLOCK
         buf = np.empty(offset + count)
-
-        def fill(lo: int, hi: int) -> None:
-            bitgen = np.random.Philox(key=key)
-            bitgen.advance(block + lo // _WORDS_PER_BLOCK)
-            chunk = buf[lo:hi]
-            np.random.Generator(bitgen).random(out=chunk)
-            np.maximum(chunk, _MIN_UNIFORM, out=chunk)
-
-        _split(fill, buf.size)
+        _split(lambda lo, hi: self._fill(buf[lo:hi], start - offset + lo), buf.size)
         return buf[offset:]
+
+    def _fill(self, out: np.ndarray, start: int) -> None:
+        """Writes the uniforms at draw indices ``start..start+out.size-1`` into ``out``, on this thread.
+
+        ``out`` must be contiguous.  A start inside a Philox block draws and
+        drops the block's earlier words, so any start reads the stream's bits.
+        """
+        block, offset = divmod(start, _WORDS_PER_BLOCK)
+        bitgen = np.random.Philox(key=np.array([self.seed, self.stream_index], dtype=np.uint64))
+        bitgen.advance(block)
+        generator = np.random.Generator(bitgen)
+        if offset:
+            generator.random(offset)
+        generator.random(out=out)
+        np.maximum(out, _MIN_UNIFORM, out=out)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import rng
 from .certify import (
     Abstain,
     Certificate,
@@ -192,20 +194,29 @@ class LinearClassifier(BaseClassifier):
         return f"linear(classes={self.weights.shape[0]}, features={self.weights.shape[1]})"
 
 
+def _is_finite_double(value) -> bool:
+    """Whether a parsed JSON value is a number that reads as a finite double (not a boolean)."""
+    # The comparison also rejects NaN, and an int too large for a double
+    # without converting it.
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def _fields(doc, source, **kinds: type) -> list:
     """The named fields of the JSON manifest ``doc`` read from ``source``, as float, int or str.
 
-    An int field takes a number without a fraction, as the schemas' "integer"
-    does.  A ``doc`` that is no object, or a field that is missing, null, a
-    boolean or of another kind, raises a ValueError naming ``source`` and the field.
+    A number must be a finite double, and an int field takes one without a
+    fraction, as the schemas' "integer" does.  A ``doc`` that is no object, or
+    a field that is missing, null, a boolean, non-finite, out of double range
+    or of another kind, raises a ValueError naming ``source`` and the field.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{source}: expected a JSON object")
     for name, kind in kinds.items():
         value = doc.get(name)
-        fits = type(value) is str if kind is str else type(value) in (int, float)
+        fits = type(value) is str if kind is str else _is_finite_double(value)
         if not fits or kind is int and value % 1:
-            raise ValueError(f"{source}: field {name!r} must be {kind.__name__}, got {json.dumps(value)}")
+            wanted = "str" if kind is str else f"a finite {kind.__name__}"
+            raise ValueError(f"{source}: field {name!r} must be {wanted}, got {json.dumps(value)}")
     return [kind(doc[name]) for name, kind in kinds.items()]
 
 
@@ -286,26 +297,36 @@ class PredictionResult:
         return self.label is None
 
 
-def _tally(base: BaseClassifier, rows: Callable[[int, int], np.ndarray], n: int, width: int) -> np.ndarray:
-    """Label counts of draws 0..n-1, indexed by label.
+def _tally(
+    base: BaseClassifier, rows: Callable[[int, int], np.ndarray], n: int, width: int, group: int
+) -> np.ndarray:
+    """Label counts of draws 0..n-1 per group of ``group`` consecutive draws.
 
-    ``rows(lo, hi)`` builds the inputs of draws lo..hi-1, ``width`` doubles
-    each; they are built and labelled one chunk of at most ``_TALLY_CAP``
-    doubles at a time.  Draws are addressed by index and labels are row-pure,
-    so the counts are the same for any chunking.
+    Row g of the result counts the labels of draws g*group..(g+1)*group-1,
+    indexed by label.  ``rows(lo, hi)`` builds the inputs of draws lo..hi-1,
+    ``width`` doubles each; they are built and labelled one chunk at a time,
+    of at most one group per usable core (so a row builder can give each core
+    one group) and at most ``_TALLY_CAP`` doubles.  Draws are addressed by
+    index and labels are row-pure, so the counts are the same for any
+    chunking.
     """
-    step = max(1, _TALLY_CAP // width)
-    counts = np.zeros(0, dtype=np.int64)
+    step = max(1, min(_TALLY_CAP // width, group * rng._usable_cores()))
+    groups = -(-n // group)
+    counts = np.zeros((groups, 0), dtype=np.int64)
     for lo in range(0, n, step):
-        chunk = np.bincount(base.labels(rows(lo, min(lo + step, n))), minlength=counts.size)
-        chunk[: counts.size] += counts
+        hi = min(lo + step, n)
+        labels = np.asarray(base.labels(rows(lo, hi)))
+        classes = max(counts.shape[1], int(labels.max()) + 1)
+        slots = np.arange(lo, hi) // group * classes + labels
+        chunk = np.bincount(slots, minlength=groups * classes).reshape(groups, classes)
+        chunk[:, : counts.shape[1]] += counts
         counts = chunk
     return counts
 
 
 def _factor_tally(base, arr, dist, sampler, n, transform) -> np.ndarray:
-    """:func:`_tally` of ``transform(arr, factors)`` over n draws of ``dist`` from ``sampler``."""
-    return _tally(base, lambda lo, hi: transform(arr, dist.sample(sampler, hi - lo, lo)), n, arr.size)
+    """Label counts of ``transform(arr, factors)`` over n draws of ``dist`` from ``sampler``: one :func:`_tally` group."""
+    return _tally(base, lambda lo, hi: transform(arr, dist.sample(sampler, hi - lo, lo)), n, arr.size, n)[0]
 
 
 def smoothed_predict_certify(

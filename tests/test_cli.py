@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -326,8 +327,13 @@ class TestRealisticCommand:
             (lambda doc: {**doc, "gamma_interval": 0.8}, "'gamma_interval'"),
             (lambda doc: {**doc, "gamma_interval": [0.7, None]}, "'gamma_interval'"),
             (lambda doc: {k: v for k, v in doc.items() if k != "rho"}, "'rho'"),
+            (lambda doc: {**doc, "E": 10**400}, "'E'"),
+            (lambda doc: {**doc, "gamma_interval": [0.7, math.inf]}, "'gamma_interval'"),
         ],
-        ids=["list", "null", "string", "scalar-interval", "null-in-interval", "missing"],
+        ids=[
+            "list", "null", "string", "scalar-interval", "null-in-interval", "missing",
+            "beyond-double-range", "infinite-in-interval",
+        ],
     )
     def test_malformed_budget_field_exits_one(self, capsys, workspace, edit, field):
         doc = edit(json.loads((workspace / "budget.json").read_text()))
@@ -335,7 +341,7 @@ class TestRealisticCommand:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("n_eps", None), ("n_gamma", 50.7), ("seed", True), ("sigma_gauss", [0.05])],
+        [("n_eps", None), ("n_gamma", 50.7), ("seed", True), ("sigma_gauss", [0.05]), ("sigma_gauss", math.inf)],
     )
     def test_malformed_config_field_exits_one(self, capsys, workspace, field, value):
         doc = {**json.loads((workspace / "config.json").read_text()), field: value}

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -29,9 +30,11 @@ from smoothcert import (
     read_tensor,
     smoothed_predict_certify,
 )
-from smoothcert import rng, runtime
-from smoothcert.realistic import _gaussian_noise
+from smoothcert import realistic, rng, runtime
+from smoothcert.realistic import _gaussian_noise, _noisy_rows
 from smoothcert.rng import _SPLIT_MIN, SeededSampler
+from smoothcert.rng import _split as rng_split
+from smoothcert.runtime import BaseClassifier
 from test_cli_golden import SIGMAS_GAUSS, _workspace
 
 GAMMA_INTERVAL = (0.71, 1.33)
@@ -231,17 +234,82 @@ def test_gaussian_noise_from_a_start_index_continues_the_stream():
     assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
-@pytest.mark.parametrize("sigma", SIGMAS_GAUSS)
-def test_realistic_result_does_not_depend_on_the_chunking(monkeypatch, tmp_path, sigma):
+@pytest.mark.parametrize("start, count", [(0, 4), (1, 3), (3, 5), (6, 1)])
+def test_noisy_rows_equal_noise_plus_the_image(start, count):
+    # 35 doubles a row: most rows start inside a Philox block
+    shape = (1, 5, 7)
+    sampler = SeededSampler(3, 2)
+    image = np.random.default_rng(0).uniform(0.0, 1.0, shape)
+    rows = np.empty((count,) + shape)
+    _noisy_rows(sampler, start, 0.5, rows, image)
+    expected = _gaussian_noise(sampler, count, shape, 0.5, start) + image
+    for row, want in zip(rows, expected, strict=True):
+        assert row.tobytes() == want.tobytes()
+
+
+def _golden_realistic(tmp_path, sigma):
     ws = _workspace(tmp_path)
     base, x = load_classifier(ws / "linear.json"), read_tensor(ws / "image.mst1")
     cfg = RealisticConfig.load(ws / f"realistic-sigma{sigma:g}.json")
-    budget = ErrorBudget.load(ws / "budget.json")
+    return base, x, cfg, ErrorBudget.load(ws / "budget.json")
+
+
+@pytest.mark.parametrize("sigma", SIGMAS_GAUSS)
+def test_realistic_result_does_not_depend_on_the_chunking(monkeypatch, tmp_path, sigma):
+    base, x, cfg, budget = _golden_realistic(tmp_path, sigma)
     reference = certify_realistic(base, x, cfg, budget)
     assert reference.counts.successes > 0  # some inner votes are robust
-    for cap in (x.size, 7 * x.size, 1000 * x.size, 2**40):
-        monkeypatch.setattr(runtime, "_TALLY_CAP", cap)
-        assert certify_realistic(base, x, cfg, budget) == reference, cap
+    # caps that cut factor draws mid-way, or leave the core count to decide
+    n_eps = cfg.n_eps
+    caps = (x.size, 7 * x.size, (n_eps - 1) * x.size, (2 * n_eps + 1) * x.size, 1000 * x.size, 2**40)
+    for cores in (1, 2, 3, 4):
+        monkeypatch.setattr(rng, "_usable_cores", lambda cores=cores: cores)
+        for cap in caps:
+            monkeypatch.setattr(runtime, "_TALLY_CAP", cap)
+            assert certify_realistic(base, x, cfg, budget) == reference, (cores, cap)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_realistic_request_splits_once_per_group_of_factor_draws(monkeypatch, tmp_path, cores):
+    # one split builds each group of draws and one scores it; one more fills
+    # the factor draws
+    base, x, cfg, budget = _golden_realistic(tmp_path, 1.0)
+    monkeypatch.setattr(rng, "_usable_cores", lambda: cores)
+    calls = []
+
+    def counting(kernel, size, width=1):
+        calls.append(size)
+        rng_split(kernel, size, width)
+
+    for module in (rng, runtime, realistic):
+        monkeypatch.setattr(module, "_split", counting)
+    certify_realistic(base, x, cfg, budget)
+    assert len(calls) == 2 * math.ceil(cfg.n_gamma / cores) + 1
+
+
+def test_instrumented_calls_stay_on_the_calling_thread(monkeypatch, tmp_path):
+    # perfbench wraps these names with a span tracer whose stack is not
+    # thread-safe; the split kernels must never call them from a pool worker.
+    base, x, cfg, budget = _golden_realistic(tmp_path, 1.0)
+    monkeypatch.setattr(rng, "_usable_cores", lambda: 2)
+    seen = []
+
+    def recording(name, fn):
+        def call(*args, **kwargs):
+            seen.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+
+        return call
+
+    class RecordingClassifier(BaseClassifier):
+        labels = staticmethod(recording("labels", base.labels))
+        descriptor = "recording"
+
+    monkeypatch.setattr(SeededSampler, "uniforms", recording("uniforms", SeededSampler.uniforms))
+    monkeypatch.setattr(realistic, "gamma_correct", recording("gamma_correct", realistic.gamma_correct))
+    assert certify_realistic(RecordingClassifier(), x, cfg, budget) == certify_realistic(base, x, cfg, budget)
+    assert {name for name, _ in seen} == {"labels", "uniforms", "gamma_correct"}
+    assert {ident for _, ident in seen} == {threading.get_ident()}
 
 
 class TestCertifyRealistic:

@@ -71,6 +71,20 @@ class TestPartitionExactness:
             assert digest(_exp_squares(SIGMA, 2, count, sampler)) == squares
 
 
+class TestSharedFill:
+    """The private fill that pool workers call reads the same bits as ``uniforms``."""
+
+    @pytest.mark.parametrize("start", [0, 1, 2, 3, 4097, 2**40 + 6])
+    @pytest.mark.parametrize("count", [1, 7, 13, 1001, _SPLIT_MIN + 3])
+    def test_equals_uniforms_at_any_start(self, count, start):
+        sampler = SeededSampler(12, 5)
+        out = np.empty(count)
+        sampler._fill(out, start)
+        assert out.tobytes() == sampler.uniforms(count, start).tobytes()
+        if start < 2**20:
+            assert np.array_equal(out, sequential_reference(sampler, count, start))
+
+
 class TestSplitHelper:
     @pytest.mark.parametrize("count_of_cores", [1, 2, 3])
     @pytest.mark.parametrize("size", [0, 1, _SPLIT_MIN - 1, _SPLIT_MIN, _SPLIT_MIN + 1])
