@@ -118,10 +118,8 @@ class Certificate:
     def unbounded(self) -> bool:
         return math.isinf(self.gamma2)
 
-    def contains(self, gamma: float, strict: bool = True) -> bool:
-        if strict:
-            return self.gamma1 < gamma < self.gamma2
-        return self.gamma1 <= gamma <= self.gamma2
+    def contains(self, gamma: float) -> bool:
+        return self.gamma1 < gamma < self.gamma2
 
     def clipped(self, lo: float, hi: float) -> "Certificate":
         """Intersection with [lo, hi]; the result must still straddle 1."""

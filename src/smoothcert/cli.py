@@ -153,6 +153,11 @@ def _emit_csv(header: list[str], rows: list[list], out: str | None, manifest: di
         sys.stdout.write(buffer.getvalue())
 
 
+def _interval_cells(cert: Certificate) -> list[str]:
+    """CSV cells gamma1 and gamma2 to two decimals, then both in full (an unbounded end reads ``inf``)."""
+    return [f"{cert.gamma1:.2f}", f"{cert.gamma2:.2f}", repr(cert.gamma1), repr(cert.gamma2)]
+
+
 def _smoothing_distribution(name: str, scale: float | None) -> SmoothingDistribution:
     """The law named ``name``; no scale means its factory's default."""
     factory, argument = _DIST_FACTORIES[name]
@@ -168,16 +173,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     for pa, pb in TABLE_BOUND_PAIRS:
         cert = certify_rayleigh(ProbBounds(pa, pb))
         assert isinstance(cert, Certificate)
-        rows.append(
-            [
-                f"{pa:.3f}",
-                f"{pb:.3f}",
-                f"{cert.gamma1:.2f}",
-                f"{cert.gamma2:.2f}",
-                repr(cert.gamma1),
-                repr(cert.gamma2),
-            ]
-        )
+        rows.append([f"{pa:.3f}", f"{pb:.3f}", *_interval_cells(cert)])
     manifest = _manifest("table", {"out": args.out}, None, started)
     _emit_csv(
         ["pa", "pb", "gamma1", "gamma2", "gamma1_full", "gamma2_full"], rows, args.out, manifest
@@ -411,19 +407,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _compare_row(pa: float, name: str, scale: float, outcome) -> list:
-    if isinstance(outcome, Abstain):
-        return [f"{pa:.6g}", name, f"{scale:.6g}", "", "", "", ""]
-    gamma2 = "inf" if outcome.unbounded else f"{outcome.gamma2:.2f}"
-    gamma2_full = "inf" if outcome.unbounded else repr(outcome.gamma2)
-    return [
-        f"{pa:.6g}",
-        name,
-        f"{scale:.6g}",
-        f"{outcome.gamma1:.2f}",
-        gamma2,
-        repr(outcome.gamma1),
-        gamma2_full,
-    ]
+    cells = ["", "", "", ""] if isinstance(outcome, Abstain) else _interval_cells(outcome)
+    return [f"{pa:.6g}", name, f"{scale:.6g}", *cells]
 
 
 # --- parser -----------------------------------------------------------------

@@ -94,11 +94,6 @@ class RegionQuery:
     theta: float
     verdict: Verdict
 
-    @property
-    def in_region(self) -> bool:
-        """True only for a definite inside verdict, never for unknown."""
-        return self.verdict is Verdict.INSIDE
-
 
 def _sorted_gamma(gamma: Sequence[float]) -> np.ndarray:
     g = np.asarray(gamma, dtype=float)

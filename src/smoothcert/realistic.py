@@ -21,15 +21,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import bdtrc, ndtri
 
-from .certify import (
-    Abstain,
-    ProbBounds,
-    SampleCounts,
-    Side,
-    certify_rayleigh,
-    clopper_pearson,
-)
-from .distributions import Kind, SmoothingDistribution, rayleigh
+from .certify import Abstain, ProbBounds, SampleCounts, Side, certify_for, clopper_pearson
+from .distributions import SmoothingDistribution, rayleigh
 from .rng import SeededSampler, _split
 from .runtime import BaseClassifier, PredictionResult, _fields, _is_finite_double, _tally
 from .transforms import conversion_error, gamma_correct, validate_image
@@ -264,9 +257,8 @@ def estimate_conversion_error(
 def _noisy_rows(sampler: SeededSampler, start: int, sigma: float, out: np.ndarray, image=None) -> None:
     """Writes draws ``start..`` of N(0, sigma^2) noise, plus ``image`` if given, into the rows of ``out``.
 
-    Runs on the calling thread: it is the per-core kernel of both
-    :func:`_gaussian_noise` and the realistic inner rows.  ``out`` must be
-    contiguous, one draw per leading index.
+    Runs on the calling thread: it is the per-core kernel of the realistic
+    inner rows.  ``out`` must be contiguous, one draw per leading index.
     """
     flat = out.reshape(-1)
     sampler._fill(flat, start * math.prod(out.shape[1:]))
@@ -274,15 +266,6 @@ def _noisy_rows(sampler: SeededSampler, start: int, sigma: float, out: np.ndarra
     flat *= sigma
     if image is not None:
         np.add(out, image, out=out)
-
-
-def _gaussian_noise(
-    sampler: SeededSampler, count: int, shape: tuple, sigma: float, start: int = 0
-) -> np.ndarray:
-    """``count`` draws of N(0, sigma^2) noise of ``shape``, from draw index ``start`` on."""
-    out = np.empty((count,) + tuple(shape))
-    _split(lambda lo, hi: _noisy_rows(sampler, start + lo, sigma, out[lo:hi]), count, math.prod(shape))
-    return out
 
 
 def certify_realistic(
@@ -298,13 +281,14 @@ def certify_realistic(
     vote only when its own lower bound clears 1/2 *and* its certified l2
     radius covers the conversion-error bound; anything less counts as a miss.
     The outer hit count gives a Clopper-Pearson bound, shifted by the budget
-    total, certified, and clipped.  The certification-time alpha is the single
-    confidence knob: both the inner and outer binomial bounds spend it, and it
-    must be the alpha the budget's rho was computed from.
+    total, certified by the rule of the factor law ``dist`` (Rayleigh when
+    omitted) through :func:`certify_for`, and clipped.  Any law works; pass
+    the one the budget's ``E`` was measured under.  The certification-time
+    alpha is the single confidence knob: both the inner and outer binomial
+    bounds spend it, and it must be the alpha the budget's rho was computed
+    from.
     """
     arr = validate_image(x)
-    if dist is not None and dist.kind is not Kind.RAYLEIGH:
-        raise ValueError("the outer certificate requires Rayleigh-distributed factors")
     expected_rho = error_budget(cfg.alpha, budget.q_E, budget.alpha_E)
     if abs(expected_rho - budget.rho) > 1e-9:
         raise ValueError(
@@ -357,7 +341,7 @@ def certify_realistic(
     adjusted = adjust_probabilities(pa_lower, 1.0 - pa_lower, budget.rho)
     if isinstance(adjusted, Abstain):
         return PredictionResult(None, pa_lower, None, outer, reason=adjusted.reason)
-    outcome = certify_rayleigh(adjusted)
+    outcome = certify_for(law, adjusted)
     if isinstance(outcome, Abstain):
         return PredictionResult(None, pa_lower, None, outer, reason=outcome.reason, adjusted=adjusted)
     lo, hi = budget.gamma_interval

@@ -76,16 +76,17 @@ def _split(kernel: Callable[[int, int], None], size: int, width: int = 1) -> Non
     Each index stands for ``width`` contiguous doubles (1 for a flat buffer,
     the row length for a stack of rows).  One contiguous chunk per usable
     core, each starting on a multiple of 8 doubles.  The calling thread runs
-    the first chunk, then any chunk no pool worker has started yet, so a
-    worker that is slow to start (another thread holds its core) does not
-    hold the caller up.  Small totals, or one core, run inline.  The kernels
-    in use are listed in the module docstring.  A kernel must write disjoint
-    slices and call no public smoothcert function or method and no base
-    classifier (private helpers such as :meth:`SeededSampler._fill` are
-    fine), so that per-call instrumentation (such as ``perfbench``'s span
-    tracer, whose span stack is not thread-safe) only ever sees the calling
-    thread.  An exception from any chunk is raised only once every chunk that
-    started has finished.
+    the first chunk, then, last chunk first, every chunk whose pool task it
+    can still cancel (``Future.cancel`` succeeds only before a worker starts
+    the task), so a worker that is slow to start (another thread holds its
+    core) does not hold the caller up.  Small totals, or one core, run
+    inline.  The kernels in use are listed in the module docstring.  A kernel
+    must write disjoint slices and call no public smoothcert function or
+    method and no base classifier (private helpers such as
+    :meth:`SeededSampler._fill` are fine), so that per-call instrumentation
+    (such as ``perfbench``'s span tracer, whose span stack is not
+    thread-safe) only ever sees the calling thread.  An exception from any
+    chunk is raised only once every chunk that started has finished.
     """
     global _pool
     cores = _usable_cores()
@@ -95,21 +96,22 @@ def _split(kernel: Callable[[int, int], None], size: int, width: int = 1) -> Non
     align = _CHUNK_ALIGN // math.gcd(_CHUNK_ALIGN, width)
     step = -(-size // (cores * align)) * align
     chunks = [(lo, min(lo + step, size)) for lo in range(step, size, step)]
-    claims = [threading.Lock() for _ in chunks]
 
-    def claim_and_run(index: int) -> None:
-        if claims[index].acquire(blocking=False):
-            kernel(*chunks[index])
+    # Queued tasks reach the kernel only through this closure's cell, which
+    # the finally block clears.
+    def run(lo: int, hi: int) -> None:
+        kernel(lo, hi)
 
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(cores - 1, thread_name_prefix="smoothcert-split")
         pool = _pool
-    futures = [pool.submit(claim_and_run, index) for index in range(len(chunks))]
+    futures = [pool.submit(run, lo, hi) for lo, hi in chunks]
     try:
         kernel(0, step)
-        for index in reversed(range(len(chunks))):
-            claim_and_run(index)
+        for future, (lo, hi) in reversed(list(zip(futures, chunks))):
+            if future.cancel():
+                kernel(lo, hi)
     finally:
         # Tasks still queued have nothing left to run; wait for the others.
         started = [future for future in futures if not future.cancel()]
@@ -156,11 +158,9 @@ class SeededSampler:
             raise ValueError(f"count must be nonnegative, got {count}")
         if start < 0:
             raise ValueError(f"start must be nonnegative, got {start}")
-        # Chunks of the block-aligned buffer start on whole Philox blocks.
-        offset = start % _WORDS_PER_BLOCK
-        buf = np.empty(offset + count)
-        _split(lambda lo, hi: self._fill(buf[lo:hi], start - offset + lo), buf.size)
-        return buf[offset:]
+        out = np.empty(count)
+        _split(lambda lo, hi: self._fill(out[lo:hi], start + lo), count)
+        return out
 
     def _fill(self, out: np.ndarray, start: int) -> None:
         """Writes the uniforms at draw indices ``start..start+out.size-1`` into ``out``, on this thread.

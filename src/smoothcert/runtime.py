@@ -115,6 +115,10 @@ class ThresholdOracle(BaseClassifier):
 class ConstantClassifier(BaseClassifier):
     constant_label: int = 0
 
+    def __post_init__(self) -> None:
+        if self.constant_label < 0:
+            raise ValueError(f"constant_label must be nonnegative, got {self.constant_label}")
+
     def labels(self, batch: np.ndarray) -> np.ndarray:
         return np.full(batch.shape[0], self.constant_label, dtype=int)
 

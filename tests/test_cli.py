@@ -10,8 +10,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from smoothcert import ErrorBudget, RealisticConfig, write_tensor
-from smoothcert.cli import EXIT_ABSTAIN, EXIT_ERROR, EXIT_OK, main
+from smoothcert import Certificate, ErrorBudget, Method, RealisticConfig, write_tensor
+from smoothcert.cli import EXIT_ABSTAIN, EXIT_ERROR, EXIT_OK, _interval_cells, main
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 SCHEMA_DIR = SRC_DIR / "smoothcert" / "schemas"
@@ -208,6 +208,19 @@ class TestSmooth:
         assert code == EXIT_ERROR
         assert out == ""
         assert "scale" in err
+
+    def test_negative_constant_label_exits_one(self, capsys, oracle_workspace):
+        (oracle_workspace / "constant.json").write_text(json.dumps({"type": "constant", "label": -1}))
+        code, out, err = run(
+            capsys,
+            [
+                "smooth",
+                "--input", str(oracle_workspace / "x.mst1"),
+                "--classifier", str(oracle_workspace / "constant.json"),
+                "--n", "100", "--alpha", "0.01",
+            ],
+        )
+        TestRealisticCommand._assert_one_error_line(code, out, err, "label", "-1")
 
     def test_env_seed_default(self, capsys, oracle_workspace, monkeypatch):
         monkeypatch.setenv("SMOOTHCERT_SEED", "123")
@@ -406,6 +419,10 @@ class TestEstimateError:
 
 
 class TestCompare:
+    def test_unbounded_right_end_reads_inf(self):
+        cert = Certificate(0.125, math.inf, Method.LOG_SPACE, "d", 1.0)
+        assert _interval_cells(cert) == ["0.12", "inf", "0.125", "inf"]
+
     def test_reference_row_and_matched_baseline(self, capsys):
         code, out, _ = run(capsys, ["compare", "--pa-grid", "0.9"])
         assert code == EXIT_OK

@@ -1,9 +1,10 @@
-"""Golden CLI outputs: `cert`, `compare`, `table`, `smooth` and `realistic` byte for byte.
+"""Golden CLI outputs: `cert`, `compare`, `table`, `smooth`, `realistic` and
+`estimate-error` byte for byte.
 
 Every case runs the CLI in-process and compares its exit code and output with
-``golden/cli.json``.  JSON reports are pinned without the manifest's
-``duration_s`` (wall-clock time), with the workspace directory written as
-``<ws>``.  Regenerate the file, after a deliberate output change only, with
+``golden/cli.json``; a case that writes to stderr pins that text too.  JSON
+reports are pinned without the manifest's ``duration_s`` (wall-clock time),
+with the workspace directory written as ``<ws>``.  Regenerate the file, after a deliberate output change only, with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
@@ -67,6 +68,16 @@ def _cases() -> dict[str, list[str]]:
             "realistic", *linear, "--budget", "<ws>/budget.json",
             "--config", f"<ws>/realistic-sigma{sigma:g}.json",
         ]
+    # q_E = 0.5 at alpha_E = 0.1 needs 4 tensors; the workspace holds 6
+    estimate = ["estimate-error", "--dataset", "<ws>/data", "--grid", "16", "--seed", "4"]
+    for lo, hi in (("0.8", "1.25"), ("0.5", "2.0")):
+        cases[f"estimate-error-{lo}-{hi}"] = [
+            *estimate, "--gamma-min", lo, "--gamma-max", hi, "--qe", "0.5", "--alphae", "0.1",
+        ]
+    # q_E = 0.9 at alpha_E = 0.01 needs 44
+    cases["estimate-error-too-few-tensors"] = [
+        *estimate, "--gamma-min", "0.8", "--gamma-max", "1.25", "--qe", "0.9", "--alphae", "0.01",
+    ]
     return cases
 
 
@@ -109,19 +120,25 @@ def _workspace(root: Path) -> Path:
         (root / f"realistic-sigma{sigma:g}.json").write_text(json.dumps({
             "n_eps": 50, "n_gamma": 20, "sigma_gauss": sigma, "alpha": alpha, "seed": 11,
         }))
+    (root / "data").mkdir()
+    for i in range(6):
+        write_tensor(rng.integers(0, 256, (3, 6, 6)) / 255.0, root / "data" / f"t{i}.mst1")
     return root
 
 
 def _render(argv: list[str], workspace: Path) -> dict:
     ws = str(workspace)
-    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+    with contextlib.redirect_stdout(io.StringIO()) as stdout, contextlib.redirect_stderr(io.StringIO()) as stderr:
         code = main([a.replace("<ws>", ws) for a in argv])
     out = stdout.getvalue()
     if out.startswith("{"):
         report = json.loads(out)
         del report["manifest"]["duration_s"]
         out = json.dumps(report, sort_keys=True, indent=2).replace(ws, "<ws>") + "\n"
-    return {"exit": code, "stdout": out}
+    rendered = {"exit": code, "stdout": out}
+    if stderr.getvalue():
+        rendered["stderr"] = stderr.getvalue().replace(ws, "<ws>")
+    return rendered
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -190,7 +190,6 @@ class TestInRobustRegion:
     def test_identity_always_inside(self):
         query = in_robust_region(make_problem(n=3, pa=0.55, pb=0.45), [1.0, 1.0, 1.0])
         assert query.verdict is Verdict.INSIDE
-        assert query.in_region
 
     def test_single_factor_agrees_with_interval(self):
         problem = make_problem(pa=0.9, pb=0.1)
@@ -199,13 +198,6 @@ class TestInRobustRegion:
         outside = in_robust_region(problem, [cert.gamma2 * 1.5])
         assert inside.verdict is Verdict.INSIDE
         assert outside.verdict is Verdict.OUTSIDE
-
-    def test_unknown_is_not_in_region(self):
-        problem = make_problem(pa=0.9, pb=0.1)
-        cert = certify_rayleigh(ProbBounds(0.9, 0.1))
-        near_edge = in_robust_region(problem, [cert.gamma2])
-        if near_edge.verdict is Verdict.UNKNOWN:
-            assert not near_edge.in_region
 
     def test_permutation_symmetry(self):
         problem = make_problem(n=2, pa=0.85, pb=0.05)
@@ -218,8 +210,8 @@ class TestInRobustRegion:
         grid = np.linspace(0.4, 2.2, 25)
         low = make_problem(pa=0.7, pb=0.05, seed=33)
         high = make_problem(pa=0.95, pb=0.05, seed=33)
-        accepted_low = {g for g in grid if in_robust_region(low, [g]).in_region}
-        accepted_high = {g for g in grid if in_robust_region(high, [g]).in_region}
+        accepted_low = {g for g in grid if in_robust_region(low, [g]).verdict is Verdict.INSIDE}
+        accepted_high = {g for g in grid if in_robust_region(high, [g]).verdict is Verdict.INSIDE}
         assert accepted_low <= accepted_high
 
     def test_concurrent_queries_match_serial(self):

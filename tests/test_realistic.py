@@ -16,6 +16,7 @@ from smoothcert import (
     SmoothingConfig,
     ThresholdOracle,
     adjust_probabilities,
+    certify_for,
     certify_rayleigh,
     certify_realistic,
     clopper_pearson,
@@ -23,7 +24,9 @@ from smoothcert import (
     error_budget,
     estimate_conversion_error,
     gaussian_l2_radius,
+    inverse_rayleigh,
     load_classifier,
+    log_gaussian,
     min_samples_for_quantile_bound,
     quantile_upper_confidence,
     rayleigh,
@@ -31,7 +34,7 @@ from smoothcert import (
     smoothed_predict_certify,
 )
 from smoothcert import realistic, rng, runtime
-from smoothcert.realistic import _gaussian_noise, _noisy_rows
+from smoothcert.realistic import _noisy_rows
 from smoothcert.rng import _SPLIT_MIN, SeededSampler
 from smoothcert.rng import _split as rng_split
 from smoothcert.runtime import BaseClassifier
@@ -199,6 +202,13 @@ def test_vectorised_grid_matches_scalar_path(interval, seed):
     assert estimate_conversion_error(tensors, interval, 0.9, 0.01, 64, seed=seed) == expected
 
 
+def gaussian_noise(sampler, count, shape, sigma, start=0):
+    """``count`` draws of N(0, sigma^2) noise of ``shape`` from draw index ``start`` on."""
+    out = np.empty((count,) + shape)
+    _noisy_rows(sampler, start, sigma, out)
+    return out
+
+
 @pytest.mark.parametrize(
     "seed, stream, count, shape, sigma, digest",
     [
@@ -210,8 +220,7 @@ def test_vectorised_grid_matches_scalar_path(interval, seed):
 def test_gaussian_noise_is_golden(seed, stream, count, shape, sigma, digest):
     # sha256 of the raw float64 bytes, recorded with numpy 2.4 / scipy 1.17;
     # any change to the noise arithmetic must keep every bit.
-    noise = _gaussian_noise(SeededSampler(seed, stream), count, shape, sigma)
-    assert noise.shape == (count,) + shape and noise.flags.c_contiguous
+    noise = gaussian_noise(SeededSampler(seed, stream), count, shape, sigma)
     assert hashlib.sha256(noise.tobytes()).hexdigest() == digest
 
 
@@ -221,16 +230,18 @@ def test_gaussian_noise_does_not_depend_on_core_count(monkeypatch, count):
     # size at which the noise transform is split across cores.
     shape = (3, 5, 7)
     sampler = SeededSampler(4, 9)
-    reference = _gaussian_noise(sampler, count, shape, 0.75).tobytes()
-    for cores in (1, 3, 4):
+    reference = gaussian_noise(sampler, count, shape, 0.75).tobytes()
+    for cores in (1, 2, 3, 4):
         monkeypatch.setattr(rng, "_usable_cores", lambda cores=cores: cores)
-        assert _gaussian_noise(sampler, count, shape, 0.75).tobytes() == reference
+        out = np.empty((count,) + shape)
+        rng_split(lambda lo, hi: _noisy_rows(sampler, lo, 0.75, out[lo:hi]), count, math.prod(shape))
+        assert out.tobytes() == reference
 
 
 def test_gaussian_noise_from_a_start_index_continues_the_stream():
     sampler, shape = SeededSampler(6, 4), (2, 3, 5)
-    whole = _gaussian_noise(sampler, 9, shape, 0.5)
-    parts = [_gaussian_noise(sampler, hi - lo, shape, 0.5, lo) for lo, hi in ((0, 2), (2, 7), (7, 9))]
+    whole = gaussian_noise(sampler, 9, shape, 0.5)
+    parts = [gaussian_noise(sampler, hi - lo, shape, 0.5, lo) for lo, hi in ((0, 2), (2, 7), (7, 9))]
     assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
@@ -242,7 +253,7 @@ def test_noisy_rows_equal_noise_plus_the_image(start, count):
     image = np.random.default_rng(0).uniform(0.0, 1.0, shape)
     rows = np.empty((count,) + shape)
     _noisy_rows(sampler, start, 0.5, rows, image)
-    expected = _gaussian_noise(sampler, count, shape, 0.5, start) + image
+    expected = gaussian_noise(sampler, count, shape, 0.5, start) + image
     for row, want in zip(rows, expected, strict=True):
         assert row.tobytes() == want.tobytes()
 
@@ -324,6 +335,14 @@ class TestCertifyRealistic:
         expected = certify_rayleigh(adjusted).clipped(*GAMMA_INTERVAL)
         assert abs(result.certificate.gamma1 - expected.gamma1) < 1e-12
         assert abs(result.certificate.gamma2 - expected.gamma2) < 1e-12
+
+    @pytest.mark.parametrize("law", [inverse_rayleigh(), log_gaussian(0.5)], ids=["inverse-rayleigh", "log-gaussian"])
+    def test_any_factor_law_gets_its_own_rule(self, law):
+        cfg = RealisticConfig(n_eps=50, n_gamma=200, sigma_gauss=0.25, alpha=0.001, seed=6)
+        budget = make_budget(E=0.0)
+        result = certify_realistic(ConstantClassifier(1), np.array([0.5]), cfg, budget, dist=law)
+        assert result.label == 1 and result.adjusted is not None
+        assert result.certificate == certify_for(law, result.adjusted).clipped(*budget.gamma_interval)
 
     def test_certificate_is_clipped_to_the_attack_interval(self):
         cfg = RealisticConfig(n_eps=50, n_gamma=300, sigma_gauss=0.25, alpha=0.001, seed=6)

@@ -425,6 +425,11 @@ class TestSyntheticManifests:
         assert isinstance(load_classifier(tmp_path / "c.json"), ConstantClassifier)
         assert isinstance(load_classifier(tmp_path / "h.json"), HashLabelClassifier)
 
+    def test_negative_constant_label_is_rejected(self):
+        with pytest.raises(ValueError, match="constant_label must be nonnegative, got -1"):
+            ConstantClassifier(-1)
+        assert ConstantClassifier(0).constant_label == 0
+
     def test_unknown_manifest(self, tmp_path):
         (tmp_path / "u.json").write_text(json.dumps({"type": "mystery"}))
         with pytest.raises(ValueError):
