@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -24,7 +25,7 @@ from scipy.special import bdtrc, ndtri
 from .certify import Abstain, ProbBounds, SampleCounts, Side, certify_for, clopper_pearson
 from .distributions import SmoothingDistribution, rayleigh
 from .rng import SeededSampler, _split
-from .runtime import BaseClassifier, PredictionResult, _fields, _is_finite_double, _tally
+from .runtime import BaseClassifier, PredictionResult, _fields, _is_finite_double, _tally, _top
 from .transforms import conversion_error, gamma_correct, validate_image
 
 __all__ = [
@@ -298,11 +299,20 @@ def certify_realistic(
     if not budget.feasible:
         return PredictionResult(None, 0.0, None, None, reason=f"rho={budget.rho} >= 1/2 always abstains")
 
+    n_eps = cfg.n_eps
+
+    def votes(count: int) -> bool:  # whether a top inner count certifies an l2 radius of at least E
+        radius = gaussian_l2_radius(clopper_pearson(SampleCounts(count, n_eps), cfg.alpha, Side.LOWER), cfg.sigma_gauss)
+        return not isinstance(radius, Abstain) and radius >= budget.E
+
+    no_vote = PredictionResult(
+        None, 0.0, None, SampleCounts(0, cfg.n_gamma), reason="no factor draw produced a robust inner vote"
+    )
+    if not votes(n_eps):  # the radius rises with the count, so no factor draw can vote
+        return no_vote
     law = dist or rayleigh()
     sampler = SeededSampler(cfg.seed)
     factors = law.sample(sampler.stream(0), cfg.n_gamma)
-
-    n_eps = cfg.n_eps
 
     def rows(lo: int, hi: int) -> np.ndarray:
         # Row j * n_eps + i is inner draw i under factor draw j: stream j + 1
@@ -321,21 +331,12 @@ def certify_realistic(
         _split(build, hi - lo, arr.size)
         return out
 
-    robust: list[int] = []  # the inner label of every factor draw that votes
-    for inner in _tally(base, rows, cfg.n_gamma * n_eps, arr.size, n_eps):
-        candidate = int(np.argmax(inner))
-        pa_inner = clopper_pearson(SampleCounts(int(inner[candidate]), n_eps), cfg.alpha, Side.LOWER)
-        radius = gaussian_l2_radius(pa_inner, cfg.sigma_gauss)
-        if not isinstance(radius, Abstain) and radius >= budget.E:
-            robust.append(candidate)
-
+    inner = map(_top, _tally(base, rows, cfg.n_gamma * n_eps, arr.size, n_eps))
+    robust = Counter(label for label, count in inner if votes(count))  # the outer votes
     if not robust:
-        return PredictionResult(
-            None, 0.0, None, SampleCounts(0, cfg.n_gamma), reason="no factor draw produced a robust inner vote"
-        )
-    votes = np.bincount(robust)
-    label = int(np.argmax(votes))
-    outer = SampleCounts(int(votes[label]), cfg.n_gamma)
+        return no_vote
+    label, hits = _top(robust)
+    outer = SampleCounts(hits, cfg.n_gamma)
     pa_lower = clopper_pearson(outer, cfg.alpha, Side.LOWER)
 
     adjusted = adjust_probabilities(pa_lower, 1.0 - pa_lower, budget.rho)

@@ -4,8 +4,8 @@ The smoothed classifier draws random power factors, evaluates the base
 classifier on every transformed copy of the input, and certifies the modal
 label from exact binomial confidence bounds, abstaining when the lower bound
 does not clear 1/2.  One vote tally labels the transformed copies in chunks
-of at most 32 MB, so memory stays flat in the sample count, and the counts are
-the same for any chunking.
+of at most 32 MB and counts labels sparsely, so memory stays flat in the sample
+count and in the label values, and the counts are the same for any chunking.
 
 Shipped base classifiers are synthetic and analytic on purpose — the
 single-pixel threshold rule admits an exact smoothed probability, making it
@@ -19,6 +19,7 @@ import itertools
 import json
 import sys
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -64,11 +65,11 @@ _TALLY_CAP = 2**22
 class BaseClassifier(ABC):
     """Deterministic labelling contract: same tensor in, same label out.
 
-    A row's label depends only on that row, bit for bit: it is the same for
-    any batch size the row arrives in and any BLAS thread count, so callers
-    may label the draw-index range in chunks of any size.  Implementations
-    must be safe for concurrent evaluation; all the shipped ones are
-    stateless.
+    Labels are nonnegative integers of any size.  A row's label depends only
+    on that row, bit for bit: it is the same for any batch size the row
+    arrives in and any BLAS thread count, so callers may label the draw-index
+    range in chunks of any size.  Implementations must be safe for concurrent
+    evaluation; all the shipped ones are stateless.
     """
 
     @abstractmethod
@@ -249,12 +250,18 @@ def load_classifier(manifest_path) -> BaseClassifier:
         return classifier
     kind = spec.get("type")
     if kind == "threshold":
-        return ThresholdOracle(*_fields(spec, manifest_path, pixel_value=float, threshold=float))
-    if kind == "constant":
-        return ConstantClassifier(*_fields(spec, manifest_path, label=int))
-    if kind == "hash":
-        return HashLabelClassifier(*_fields(spec, manifest_path, classes=int))
-    raise ValueError(f"{manifest_path}: unrecognized classifier manifest")
+        make, kinds = ThresholdOracle, dict(pixel_value=float, threshold=float)
+    elif kind == "constant":
+        make, kinds = ConstantClassifier, dict(label=int)
+    elif kind == "hash":
+        make, kinds = HashLabelClassifier, dict(classes=int)
+    else:
+        raise ValueError(f"{manifest_path}: unrecognized classifier manifest")
+    values = _fields(spec, manifest_path, **kinds)
+    try:
+        return make(*values)
+    except ValueError as err:  # a range error of the classifier, named by manifest and field
+        raise ValueError(f"{manifest_path}: field {' or '.join(map(repr, kinds))} out of range: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -303,32 +310,37 @@ class PredictionResult:
 
 def _tally(
     base: BaseClassifier, rows: Callable[[int, int], np.ndarray], n: int, width: int, group: int
-) -> np.ndarray:
+) -> list[Counter]:
     """Label counts of draws 0..n-1 per group of ``group`` consecutive draws.
 
-    Row g of the result counts the labels of draws g*group..(g+1)*group-1,
-    indexed by label.  ``rows(lo, hi)`` builds the inputs of draws lo..hi-1,
-    ``width`` doubles each; they are built and labelled one chunk at a time,
-    of at most one group per usable core (so a row builder can give each core
-    one group) and at most ``_TALLY_CAP`` doubles.  Draws are addressed by
-    index and labels are row-pure, so the counts are the same for any
-    chunking.
+    Item g counts the labels of draws g*group..(g+1)*group-1 by label, so it
+    grows with the distinct labels seen, never with their values.  ``rows(lo,
+    hi)`` builds the inputs of draws lo..hi-1, ``width`` doubles each, one chunk
+    at a time: at most one group per usable core (so a row builder can give
+    each core one group) and at most ``_TALLY_CAP`` doubles.  Draws are
+    addressed by index and labels are row-pure, so the counts are the same for
+    any chunking.  Labels other than nonnegative integers raise a ValueError.
     """
     step = max(1, min(_TALLY_CAP // width, group * rng._usable_cores()))
-    groups = -(-n // group)
-    counts = np.zeros((groups, 0), dtype=np.int64)
+    tallies = [Counter() for _ in range(-(-n // group))]
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         labels = np.asarray(base.labels(rows(lo, hi)))
-        classes = max(counts.shape[1], int(labels.max()) + 1)
-        slots = np.arange(lo, hi) // group * classes + labels
-        chunk = np.bincount(slots, minlength=groups * classes).reshape(groups, classes)
-        chunk[:, : counts.shape[1]] += counts
-        counts = chunk
-    return counts
+        if labels.shape != (hi - lo,) or labels.dtype.kind not in "iu" or labels.min() < 0:
+            raise ValueError(f"labels must be {hi - lo} nonnegative integers, got {labels!r}")
+        # one part per group the chunk meets: cut where a group starts
+        for g, part in enumerate(np.split(labels, range(group - lo % group, hi - lo, group)), lo // group):
+            values, counts = np.unique(part, return_counts=True)
+            tallies[g].update(dict(zip(values.tolist(), counts.tolist())))
+    return tallies
 
 
-def _factor_tally(base, arr, dist, sampler, n, transform) -> np.ndarray:
+def _top(tally: Counter) -> tuple[int, int]:
+    """The most frequent label of a tally and its count; the lowest label wins ties."""
+    return min(tally.items(), key=lambda item: (-item[1], item[0]))
+
+
+def _factor_tally(base, arr, dist, sampler, n, transform) -> Counter:
     """Label counts of ``transform(arr, factors)`` over n draws of ``dist`` from ``sampler``: one :func:`_tally` group."""
     return _tally(base, lambda lo, hi: transform(arr, dist.sample(sampler, hi - lo, lo)), n, arr.size, n)[0]
 
@@ -349,10 +361,9 @@ def smoothed_predict_certify(
     """
     arr = validate_image(x)
     sampler = SeededSampler(cfg.seed)
-    selection = _factor_tally(base, arr, cfg.dist, sampler.stream(_SELECTION_STREAM), cfg.n0, transform)
-    candidate = int(np.argmax(selection))  # ties resolve to the lowest class index
+    candidate, _ = _top(_factor_tally(base, arr, cfg.dist, sampler.stream(_SELECTION_STREAM), cfg.n0, transform))
     estimation = _factor_tally(base, arr, cfg.dist, sampler.stream(_ESTIMATION_STREAM), cfg.n, transform)
-    counts = SampleCounts(int(estimation[candidate]) if candidate < estimation.size else 0, cfg.n)
+    counts = SampleCounts(estimation[candidate], cfg.n)
 
     pa_lower = clopper_pearson(counts, cfg.alpha, Side.LOWER)
     if pa_lower <= 0.5:
@@ -381,9 +392,8 @@ class SmoothedClassifier:
         """Modal label of query ``index`` under ``cfg.n`` draws, or None when not confidently above 1/2."""
         arr = np.asarray(x, dtype=float)
         sampler = SeededSampler(self.cfg.seed, _PREDICT_STREAM_BASE + index)
-        votes = _factor_tally(self.base, arr, self.cfg.dist, sampler, self.cfg.n, self.transform)
-        candidate = int(np.argmax(votes))
-        pa_lower = clopper_pearson(SampleCounts(int(votes[candidate]), self.cfg.n), self.cfg.alpha, Side.LOWER)
+        candidate, count = _top(_factor_tally(self.base, arr, self.cfg.dist, sampler, self.cfg.n, self.transform))
+        pa_lower = clopper_pearson(SampleCounts(count, self.cfg.n), self.cfg.alpha, Side.LOWER)
         return candidate if pa_lower > 0.5 else None
 
 

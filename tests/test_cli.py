@@ -222,6 +222,24 @@ class TestSmooth:
         )
         TestRealisticCommand._assert_one_error_line(code, out, err, "label", "-1")
 
+    @pytest.mark.parametrize(
+        "manifest,field",
+        [({"type": "constant", "label": -1}, "'label'"), ({"type": "hash", "classes": 1}, "'classes'")],
+        ids=["constant-label", "hash-classes"],
+    )
+    def test_range_errors_name_the_manifest_and_field(self, capsys, oracle_workspace, manifest, field):
+        (oracle_workspace / "ranged.json").write_text(json.dumps(manifest))
+        code, out, err = run(
+            capsys,
+            [
+                "smooth",
+                "--input", str(oracle_workspace / "x.mst1"),
+                "--classifier", str(oracle_workspace / "ranged.json"),
+                "--n", "100", "--alpha", "0.01",
+            ],
+        )
+        TestRealisticCommand._assert_one_error_line(code, out, err, "ranged.json", field)
+
     def test_env_seed_default(self, capsys, oracle_workspace, monkeypatch):
         monkeypatch.setenv("SMOOTHCERT_SEED", "123")
         _, out, _ = run(

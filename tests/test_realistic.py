@@ -37,7 +37,7 @@ from smoothcert import realistic, rng, runtime
 from smoothcert.realistic import _noisy_rows
 from smoothcert.rng import _SPLIT_MIN, SeededSampler
 from smoothcert.rng import _split as rng_split
-from smoothcert.runtime import BaseClassifier
+from smoothcert.runtime import BaseClassifier, PredictionResult
 from test_cli_golden import SIGMAS_GAUSS, _workspace
 
 GAMMA_INTERVAL = (0.71, 1.33)
@@ -265,11 +265,36 @@ def _golden_realistic(tmp_path, sigma):
     return base, x, cfg, ErrorBudget.load(ws / "budget.json")
 
 
+class BrightnessLabels(BaseClassifier):
+    """Labels a row 2**62 - 1 when more than ``cut`` of its values exceed 1/2, else 2**40, and 0 when its first value exceeds 2.5.
+
+    The counts are exact integers, so a row's label does not depend on the batch it comes in.
+    """
+
+    descriptor = "brightness"
+
+    def __init__(self, cut: int):
+        self.cut = cut
+
+    def labels(self, batch):
+        flat = batch.reshape(len(batch), -1)
+        bright = np.where(np.count_nonzero(flat > 0.5, axis=1) > self.cut, 2**62 - 1, 2**40)
+        return np.where(flat[:, 0] > 2.5, 0, bright)
+
+
 @pytest.mark.parametrize("sigma", SIGMAS_GAUSS)
 def test_realistic_result_does_not_depend_on_the_chunking(monkeypatch, tmp_path, sigma):
     base, x, cfg, budget = _golden_realistic(tmp_path, sigma)
     reference = certify_realistic(base, x, cfg, budget)
     assert reference.counts.successes > 0  # some inner votes are robust
+    bright = BrightnessLabels(388)
+    tops = []
+    with monkeypatch.context() as patched:
+        patched.setattr(realistic, "_top", lambda tally: tops.append(dict(tally)) or runtime._top(tally))
+        bright_reference = certify_realistic(bright, x, cfg, budget)
+    if sigma == 1.0:  # label 0 shows in inner tallies, and the outer votes tie
+        assert any(0 in tally for tally in tops[: cfg.n_gamma])
+        assert tops[-1] == {2**40: 5, 2**62 - 1: 5} and bright_reference.counts.successes == 5
     # caps that cut factor draws mid-way, or leave the core count to decide
     n_eps = cfg.n_eps
     caps = (x.size, 7 * x.size, (n_eps - 1) * x.size, (2 * n_eps + 1) * x.size, 1000 * x.size, 2**40)
@@ -278,6 +303,7 @@ def test_realistic_result_does_not_depend_on_the_chunking(monkeypatch, tmp_path,
         for cap in caps:
             monkeypatch.setattr(runtime, "_TALLY_CAP", cap)
             assert certify_realistic(base, x, cfg, budget) == reference, (cores, cap)
+            assert certify_realistic(bright, x, cfg, budget) == bright_reference, (cores, cap)
 
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
@@ -321,6 +347,20 @@ def test_instrumented_calls_stay_on_the_calling_thread(monkeypatch, tmp_path):
     assert certify_realistic(RecordingClassifier(), x, cfg, budget) == certify_realistic(base, x, cfg, budget)
     assert {name for name, _ in seen} == {"labels", "uniforms", "gamma_correct"}
     assert {ident for _, ident in seen} == {threading.get_ident()}
+
+
+class CountingLabels(BaseClassifier):
+    """Delegates to a base classifier and counts the rows it labels."""
+
+    descriptor = "counting"
+
+    def __init__(self, base):
+        self.base = base
+        self.rows = 0
+
+    def labels(self, batch):
+        self.rows += len(batch)
+        return self.base.labels(batch)
 
 
 class TestCertifyRealistic:
@@ -427,6 +467,20 @@ class TestCertifyRealistic:
         result = certify_realistic(ConstantClassifier(0), np.array([0.5]), cfg, make_budget(E=5.0))
         assert result.abstained
         assert result.counts == SampleCounts(0, 60)
+
+    def test_no_row_is_labelled_when_no_inner_count_can_cover_the_error(self):
+        # n_eps of n_eps inner votes reach the largest radius any factor draw
+        # can: an E just above it labels no row and abstains as when every
+        # draw misses, and an E equal to it labels every row
+        cfg = RealisticConfig(n_eps=50, n_gamma=60, sigma_gauss=0.05, alpha=0.001, seed=3)
+        reach = gaussian_l2_radius(clopper_pearson(SampleCounts(50, 50), cfg.alpha, Side.LOWER), cfg.sigma_gauss)
+        missed = PredictionResult(None, 0.0, None, SampleCounts(0, 60), reason="no factor draw produced a robust inner vote")
+        for E, rows in [(math.nextafter(reach, math.inf), 0), (reach, 50 * 60)]:
+            counting = CountingLabels(ConstantClassifier(0))
+            result = certify_realistic(counting, np.array([0.5]), cfg, make_budget(E=E))
+            assert counting.rows == rows, E
+            assert (result == missed) == (rows == 0)
+        assert result.label == 0 and result.counts == SampleCounts(60, 60)
 
 
 class TestRealisticConfig:

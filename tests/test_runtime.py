@@ -6,9 +6,13 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from dense_tally import dense_tally
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothcert import (
     ConstantClassifier,
@@ -32,7 +36,9 @@ from smoothcert import (
     write_tensor,
 )
 from smoothcert import runtime
-from smoothcert.rng import _usable_cores
+from smoothcert.rng import SeededSampler, _usable_cores
+from smoothcert.runtime import BaseClassifier
+from smoothcert.transforms import gamma_correct_batch
 
 ORACLE = ThresholdOracle(pixel_value=0.5, threshold=0.25)
 
@@ -246,13 +252,53 @@ def linear_workload(shape, seed=0):
     return random_linear(image.size, seed=seed), image
 
 
+BIG_LABELS = np.array([0, 2**40, 2**62 - 1])
+
+
+class BandedLabels(BaseClassifier):
+    """Labels 0, 2**40 or 2**62 - 1 by the band the first pixel falls in.
+
+    Under ``dist`` a smoothed pixel 0.5**beta falls below 0.5**Q(0.9), below
+    0.5**Q(0.45) or above, with chances 0.1, 0.45 and 0.45 (Q the quantile
+    function), so the two large labels tie often and at the same seeds for
+    every law.
+    """
+
+    descriptor = "banded"
+
+    def __init__(self, dist):
+        self.cuts = np.sort(0.5 ** dist.quantile(np.array([0.9, 0.45])))
+
+    def labels(self, batch):
+        return BIG_LABELS[np.searchsorted(self.cuts, batch.reshape(len(batch), -1)[:, 0], side="right")]
+
+
+class IndexedLabels:
+    """Labels draw i with ``table[i]``; its rows carry their draw index."""
+
+    def __init__(self, table):
+        self.table = np.array(table)
+
+    def labels(self, batch):
+        return self.table[batch[:, 0].astype(int)]
+
+    @staticmethod
+    def rows(lo, hi):
+        return np.arange(lo, hi, dtype=float)[:, np.newaxis]
+
+
 class TestTally:
-    """Vote counts are exact for any chunking and memory stays bounded in n."""
+    """Vote counts are exact for any chunking and memory stays bounded in n and in the labels."""
 
     @pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.kind.value)
     def test_results_do_not_depend_on_the_chunking(self, monkeypatch, dist):
         linear, image = linear_workload((3, 16, 16))
-        workloads = [(ORACLE, ORACLE.clean_input(), 600), (linear, image, 300)]
+        banded = BandedLabels(dist)
+        # at seed 5 the selection draws give both large labels 23 votes
+        stream = SeededSampler(5).stream(runtime._SELECTION_STREAM)
+        selection = runtime._factor_tally(banded, np.array([0.5]), dist, stream, 50, gamma_correct_batch)
+        assert selection == {0: 4, 2**40: 23, 2**62 - 1: 23}
+        workloads = [(ORACLE, ORACLE.clean_input(), 600), (linear, image, 300), (banded, np.array([0.5]), 300)]
         for base, x, n in workloads:
             cfg = SmoothingConfig(n=n, alpha=0.01, dist=dist, seed=5, n0=50)
             reference = smoothed_predict_certify(base, x, cfg)
@@ -287,6 +333,69 @@ class TestTally:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0], peaks
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sparse_tally_matches_the_dense_reference(self, data):
+        group = data.draw(st.integers(1, 6))
+        # at most four groups, the last one possibly short: four dense rows of 2**20 + 1 counts
+        n = group * data.draw(st.integers(0, 3)) + data.draw(st.integers(1, group))
+        table = data.draw(st.lists(st.sampled_from([0, 1, 7, 2**20]), min_size=n, max_size=n))
+        cap = data.draw(st.integers(1, 2 * group))
+        cores = data.draw(st.integers(1, 4))
+        base = IndexedLabels(table)
+        with mock.patch.object(runtime, "_TALLY_CAP", cap), mock.patch("smoothcert.rng._usable_cores", lambda: cores):
+            sparse = runtime._tally(base, base.rows, n, 1, group)
+            dense = dense_tally(base, base.rows, n, 1, group)
+        assert len(sparse) == len(dense) == -(-n // group)
+        for tally, row in zip(sparse, dense):
+            seen = np.flatnonzero(row)
+            assert tally == dict(zip(seen.tolist(), row[seen].tolist()))
+            assert runtime._top(tally) == (int(np.argmax(row)), int(row.max()))
+
+    @pytest.mark.parametrize("table", [[-1, 0, 1], [0.0, 1.0], [1.5]], ids=["negative", "float", "fraction"])
+    def test_labels_other_than_nonnegative_integers_are_rejected(self, table):
+        base = IndexedLabels(table)
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            runtime._tally(base, base.rows, len(table), 1, len(table))
+
+    @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="reads the address-space size from procfs")
+    def test_peak_memory_is_flat_in_the_label_value(self):
+        # Runs in a child whose address space is capped a few hundred MB
+        # above its own size after a warm-up, so a count table sized by the
+        # label value fails there with a MemoryError instead of taking the
+        # machine's memory: L = 10**6 would need 320 MB in the realistic
+        # pipeline, and 2**62 could not be allocated at all.
+        code = (
+            "import json, resource, sys, tracemalloc; sys.path.insert(0, sys.argv[1]); import numpy as np\n"
+            "from smoothcert import (ConstantClassifier, ErrorBudget, RealisticConfig, SmoothingConfig,\n"
+            "    certify_realistic, smoothed_predict_certify)\n"
+            "image = np.full((3, 8, 8), 0.5)\n"
+            "cfg = RealisticConfig(n_eps=20, n_gamma=20, sigma_gauss=1.0, alpha=0.001, seed=1)\n"
+            "budget = ErrorBudget.for_alpha(0.0, 0.9, 0.01, 0.001, (0.71, 1.33))\n"
+            "smooth = SmoothingConfig(n=1000, alpha=0.01, seed=1)\n"
+            "runs = {'realistic': lambda base: certify_realistic(base, image, cfg, budget),\n"
+            "        'smoothed': lambda base: smoothed_predict_certify(base, image, smooth)}\n"
+            "for run in runs.values():\n"
+            "    run(ConstantClassifier(1))\n"
+            "size = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (size + 256 * 2**20, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+            "peaks = {}\n"
+            "for name, run in runs.items():\n"
+            "    for label in (1, 10**6, 2**62):\n"
+            "        tracemalloc.start()\n"
+            "        result = run(ConstantClassifier(label))\n"
+            "        peaks.setdefault(name, []).append(tracemalloc.get_traced_memory()[1])\n"
+            "        tracemalloc.stop()\n"
+            "        assert result.label == label, result\n"
+            "print(json.dumps(peaks))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(SRC_DIR)], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        for name, peaks in json.loads(done.stdout).items():
+            assert max(peaks) <= 1.1 * min(peaks), (name, peaks)
 
 
 class TestLinearClassifier:
