@@ -203,15 +203,6 @@ def _rayleigh_logs(pa: float, pb: float) -> tuple[float, float]:
     return -0.5 * _t_root(math.log1p(-pb), math.log(pa)), -0.5 * _t_root(math.log1p(-pa), log_pb)
 
 
-def _rayleigh_certificate(
-    lo: float, hi: float, method: Method, distribution: str, confidence: float
-) -> Certificate:
-    # size 1 + |ln gamma|: four times the rounding bound of _t_root
-    return Certificate(
-        _inward(lo, 1.0 + abs(lo)), _inward(hi, 1.0 + abs(hi)), method, distribution, confidence
-    )
-
-
 def _no_separation(bounds: ProbBounds) -> Abstain:
     return Abstain(
         f"bounds do not separate: pa_lower={bounds.pa_lower} <= pb_upper={bounds.pb_upper}"
@@ -227,10 +218,7 @@ def certify_rayleigh(bounds: ProbBounds) -> Certificate | Abstain:
     (1 - pa, pb), each unique because the left side is convex and decreasing.
     pb = 0 gives the exact limit (0, inf).
     """
-    if not bounds.certifiable:
-        return _no_separation(bounds)
-    lo, hi = _rayleigh_logs(bounds.pa_lower, bounds.pb_upper)
-    return _rayleigh_certificate(lo, hi, Method.T_ROOT, rayleigh().descriptor, bounds.confidence)
+    return _t_root_rule(rayleigh(), bounds)
 
 
 def certify_rayleigh_closed_form(pa_lower: float, confidence: float = 1.0) -> Certificate | Abstain:
@@ -251,12 +239,20 @@ def certify_inverse_rayleigh(bounds: ProbBounds) -> Certificate | Abstain:
     elementwise reciprocal of the Rayleigh one with endpoints swapped: the
     log-endpoints change sign before the one rounding step.
     """
+    return _t_root_rule(inverse_rayleigh(), bounds)
+
+
+def _t_root_rule(dist: SmoothingDistribution, bounds: ProbBounds) -> Certificate | Abstain:
+    """:func:`certify_rayleigh` or, for the reciprocal law, :func:`certify_inverse_rayleigh`, naming ``dist``."""
     if not bounds.certifiable:
         return _no_separation(bounds)
     lo, hi = _rayleigh_logs(bounds.pa_lower, bounds.pb_upper)
-    return _rayleigh_certificate(
-        -hi, -lo, Method.RECIPROCAL, inverse_rayleigh().descriptor, bounds.confidence
-    )
+    method = Method.T_ROOT
+    if dist.kind is Kind.INVERSE_RAYLEIGH:
+        lo, hi, method = -hi, -lo, Method.RECIPROCAL
+    # size 1 + |ln gamma|: four times the rounding bound of _t_root
+    lo, hi = _inward(lo, 1.0 + abs(lo)), _inward(hi, 1.0 + abs(hi))
+    return Certificate(lo, hi, method, dist.descriptor, bounds.confidence)
 
 
 def clopper_pearson(counts: SampleCounts, alpha: float, side: Side) -> float:
@@ -321,10 +317,6 @@ def certify_for(dist: SmoothingDistribution, bounds: ProbBounds) -> Certificate 
     The one place a :class:`Kind` meets its rule: the Rayleigh t-root, the
     reciprocal rule, or the ln-space radius of the log-space laws.  The
     Rayleigh certificates are scale-free, so only the log-space radius reads
-    ``dist.scale``.
+    ``dist.scale``; every certificate names ``dist`` itself.
     """
-    if dist.kind is Kind.RAYLEIGH:
-        return certify_rayleigh(bounds)
-    if dist.kind is Kind.INVERSE_RAYLEIGH:
-        return certify_inverse_rayleigh(bounds)
-    return log_space_radius(dist, bounds)
+    return log_space_radius(dist, bounds) if dist.kind.log_space else _t_root_rule(dist, bounds)

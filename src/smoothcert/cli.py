@@ -1,8 +1,9 @@
 """Command-line surface: certification workflows with machine-readable output.
 
-Every command resolves its full configuration (flags, seed, tool version)
-into a run manifest.  JSON reports embed the manifest next to the result
-payload; CSV outputs written to a file get a sidecar ``<file>.manifest.json``.
+Every command records its parsed flags (with the values it resolves from
+them), its seed and the tool version in a run manifest.  JSON reports embed
+the manifest next to the result payload; CSV outputs written to a file get a
+sidecar ``<file>.manifest.json``.
 Result payloads are byte-identical across reruns with an equal manifest
 (wall-clock duration lives in the manifest, never in the payload).
 
@@ -52,13 +53,17 @@ from .runtime import (
     load_classifier,
     smoothed_predict_certify,
 )
-from .transforms import TensorFormatError, read_tensor
+from .transforms import read_tensor
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_ABSTAIN = 2
 
 _SEED_ENV = "SMOOTHCERT_SEED"
+# Parsed names that a manifest's config leaves out: the command and the seed
+# have fields of their own, func is the handler, and where and in what form
+# the output goes does not change the result.
+_NOT_CONFIG = ("command", "func", "seed", "out", "json")
 
 # The reference grid of bound pairs emitted by the `table` command.
 TABLE_BOUND_PAIRS = [
@@ -97,12 +102,14 @@ def _resolve_seed(value: int | None) -> int:
     return int(env) if env else 0
 
 
-def _manifest(command: str, config: dict, seed: int | None, started: float) -> dict:
+def _manifest(args: argparse.Namespace, seed: int | None, started: float, **resolved) -> dict:
+    """The run manifest; its ``config`` is the parsed flags, with the values the command resolved."""
+    config = {name: value for name, value in vars(args).items() if name not in _NOT_CONFIG}
     return {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "seed": seed,
-        "config": config,
+        "config": {**config, **resolved},
         "duration_s": round(time.perf_counter() - started, 6),
     }
 
@@ -174,7 +181,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         cert = certify_rayleigh(ProbBounds(pa, pb))
         assert isinstance(cert, Certificate)
         rows.append([f"{pa:.3f}", f"{pb:.3f}", *_interval_cells(cert)])
-    manifest = _manifest("table", {"out": args.out}, None, started)
+    manifest = _manifest(args, None, started)
     _emit_csv(
         ["pa", "pb", "gamma1", "gamma2", "gamma1_full", "gamma2_full"], rows, args.out, manifest
     )
@@ -199,14 +206,7 @@ def cmd_cert(args: argparse.Namespace) -> int:
 
     outcome = certify_for(_smoothing_distribution(args.dist, args.scale), ProbBounds(args.pa, pb))
 
-    config = {
-        "pa": args.pa,
-        "pb": pb,
-        "trivial_pb": bool(args.trivial_pb),
-        "dist": args.dist,
-        "scale": args.scale,
-    }
-    manifest = _manifest("cert", config, None, started)
+    manifest = _manifest(args, None, started, pb=pb)
     if isinstance(outcome, Abstain):
         if args.json:
             _emit_json({"manifest": manifest, "result": {"abstain": True, "reason": outcome.reason}}, None)
@@ -252,19 +252,7 @@ def cmd_smooth(args: argparse.Namespace) -> int:
             else {"empty": False, "left": interval[0], "right": interval[1]}
         )
 
-    config = {
-        "input": str(args.input),
-        "classifier": str(args.classifier),
-        "n": args.n,
-        "n0": args.n0,
-        "alpha": args.alpha,
-        "dist": args.dist,
-        "scale": args.scale,
-        "sweep": bool(args.sweep),
-        "step": args.step,
-        "gamma_max": args.gamma_max,
-    }
-    manifest = _manifest("smooth", config, seed, started)
+    manifest = _manifest(args, seed, started)
     _emit_json({"manifest": manifest, "result": payload}, args.out)
     return EXIT_ABSTAIN if result.abstained else EXIT_OK
 
@@ -287,13 +275,7 @@ def cmd_realistic(args: argparse.Namespace) -> int:
         **_prediction_json(result),
         "budget": budget.to_json(),
     }
-    config = {
-        "budget": str(args.budget),
-        "config": cfg.to_json(),
-        "input": str(args.input),
-        "classifier": str(args.classifier),
-    }
-    manifest = _manifest("realistic", config, cfg.seed, started)
+    manifest = _manifest(args, cfg.seed, started, config=cfg.to_json())
     _emit_json({"manifest": manifest, "result": payload}, args.out)
     return EXIT_ABSTAIN if result.abstained else EXIT_OK
 
@@ -328,15 +310,7 @@ def cmd_estimate_error(args: argparse.Namespace) -> int:
         "grid_points": args.grid,
         "num_tensors": len(tensors),
     }
-    config = {
-        "dataset": str(dataset_dir),
-        "gamma_min": args.gamma_min,
-        "gamma_max": args.gamma_max,
-        "qe": args.qe,
-        "alphae": args.alphae,
-        "grid": args.grid,
-    }
-    manifest = _manifest("estimate-error", config, seed, started)
+    manifest = _manifest(args, seed, started)
     _emit_json({"manifest": manifest, "result": payload}, args.out)
     return EXIT_OK
 
@@ -391,17 +365,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
             outcome = certify_for(log_gaussian(matched_scale), ProbBounds(pa, pb))
             rows.append(_compare_row(pa, "log-gaussian-matched", matched_scale, outcome))
 
-    manifest = _manifest(
-        "compare",
-        {"dists": args.dists, "pa_grid": args.pa_grid, "scale": args.scale, "matched": args.matched},
-        None,
-        started,
-    )
     _emit_csv(
         ["pa", "distribution", "scale", "gamma1", "gamma2", "gamma1_full", "gamma2_full"],
         rows,
         args.out,
-        manifest,
+        _manifest(args, None, started),
     )
     return EXIT_OK
 
@@ -490,7 +458,7 @@ def main(argv: list[str] | None = None) -> int:
         if scale is not None and not (scale > 0.0 and math.isfinite(scale)):
             raise ValueError(f"--scale must be a positive finite real, got {scale}")
         return args.func(args)
-    except (ValueError, OSError, TensorFormatError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"smoothcert: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

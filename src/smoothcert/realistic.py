@@ -12,11 +12,9 @@ is clipped to the attack interval the error bound was measured on.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +23,7 @@ from scipy.special import bdtrc, ndtri
 from .certify import Abstain, ProbBounds, SampleCounts, Side, certify_for, clopper_pearson
 from .distributions import SmoothingDistribution, rayleigh
 from .rng import SeededSampler, _split
-from .runtime import BaseClassifier, PredictionResult, _fields, _is_finite_double, _tally, _top
+from .runtime import BaseClassifier, PredictionResult, _read_manifest, _tally, _top
 from .transforms import conversion_error, gamma_correct, validate_image
 
 __all__ = [
@@ -60,7 +58,9 @@ class ErrorBudget:
     distribution, estimated at confidence ``1 - alpha_E``; ``rho`` is the
     total budget of Eq-style mistake probabilities including the
     certification-time ``alpha``; ``gamma_interval`` is the attack interval
-    the bound was measured on (and certificates are clipped to).
+    the bound was measured on (and certificates are clipped to).  On disk it
+    is the JSON object :meth:`to_json` writes; :meth:`load` reads one, and
+    its errors, range errors included, name the file.
     """
 
     E: float
@@ -108,21 +108,18 @@ class ErrorBudget:
         }
 
     @classmethod
-    def from_json(cls, doc, source="budget") -> "ErrorBudget":
-        E, q_E, alpha_E, rho = _fields(doc, source, E=float, q_E=float, alpha_E=float, rho=float)
-        pair = doc.get("gamma_interval")
-        if not (type(pair) is list and len(pair) == 2 and all(map(_is_finite_double, pair))):
-            raise ValueError(f"{source}: field 'gamma_interval' must be two finite numbers, got {json.dumps(pair)}")
-        return cls(E, q_E, alpha_E, rho, tuple(pair))
-
-    @classmethod
     def load(cls, path) -> "ErrorBudget":
-        return cls.from_json(json.loads(Path(path).read_text()), path)
+        kinds = dict(E=float, q_E=float, alpha_E=float, rho=float, gamma_interval=tuple)
+        return _read_manifest(path, lambda doc: (cls, kinds))
 
 
 @dataclass(frozen=True)
 class RealisticConfig:
-    """Sampling plan: n_eps inner Gaussian draws per each of n_gamma factor draws."""
+    """Sampling plan: n_eps inner Gaussian draws per each of n_gamma factor draws.
+
+    On disk it is the JSON object :meth:`to_json` writes; :meth:`load` reads
+    one, and its errors, range errors included, name the file.
+    """
 
     n_eps: int
     n_gamma: int
@@ -150,12 +147,9 @@ class RealisticConfig:
         }
 
     @classmethod
-    def from_json(cls, doc, source="config") -> "RealisticConfig":
-        return cls(*_fields(doc, source, n_eps=int, n_gamma=int, sigma_gauss=float, alpha=float, seed=int))
-
-    @classmethod
     def load(cls, path) -> "RealisticConfig":
-        return cls.from_json(json.loads(Path(path).read_text()), path)
+        kinds = dict(n_eps=int, n_gamma=int, sigma_gauss=float, alpha=float, seed=int)
+        return _read_manifest(path, lambda doc: (cls, kinds))
 
 
 def adjust_probabilities(pa_lower: float, pb_upper: float, rho: float) -> ProbBounds | Abstain:

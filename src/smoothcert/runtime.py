@@ -21,6 +21,7 @@ import sys
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -206,23 +207,58 @@ def _is_finite_double(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def _fields(doc, source, **kinds: type) -> list:
-    """The named fields of the JSON manifest ``doc`` read from ``source``, as float, int or str.
+# What each field kind of a manifest takes, and how its error names it.
+_KINDS = {
+    str: ("str", lambda value: type(value) is str),
+    int: ("a finite int", lambda value: _is_finite_double(value) and not value % 1),
+    float: ("a finite float", _is_finite_double),
+    tuple: ("two finite numbers", lambda v: type(v) is list and len(v) == 2 and all(map(_is_finite_double, v))),
+}
 
-    A number must be a finite double, and an int field takes one without a
-    fraction, as the schemas' "integer" does.  A ``doc`` that is no object, or
-    a field that is missing, null, a boolean, non-finite, out of double range
-    or of another kind, raises a ValueError naming ``source`` and the field.
+
+def _read_manifest(path, pick: Callable[[dict], tuple[Callable, dict]]):
+    """The object that the JSON manifest at ``path`` describes.
+
+    ``pick(doc)`` gives a constructor and the kind of each field it takes, in
+    order: float, int, str, or tuple for a pair of numbers.  A number must be
+    a finite double, and an int field takes one without a fraction, as the
+    schemas' "integer" does.  A file that is no JSON object, a field that is
+    missing or of another kind, and a value that the constructor rejects each
+    raise a ValueError naming the file, and the field where the error is about
+    one.
     """
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as err:  # bad JSON, or bytes that are no text
+        raise ValueError(f"{path}: not a JSON document: {err}") from None
     if not isinstance(doc, dict):
-        raise ValueError(f"{source}: expected a JSON object")
+        raise ValueError(f"{path}: expected a JSON object")
+    make, kinds = pick(doc)
     for name, kind in kinds.items():
-        value = doc.get(name)
-        fits = type(value) is str if kind is str else _is_finite_double(value)
-        if not fits or kind is int and value % 1:
-            wanted = "str" if kind is str else f"a finite {kind.__name__}"
-            raise ValueError(f"{source}: field {name!r} must be {wanted}, got {json.dumps(value)}")
-    return [kind(doc[name]) for name, kind in kinds.items()]
+        wanted, fits = _KINDS[kind]
+        if not fits(doc.get(name)):
+            raise ValueError(f"{path}: field {name!r} must be {wanted}, got {json.dumps(doc.get(name))}")
+    try:
+        return make(*(kind(doc[name]) for name, kind in kinds.items()))
+    except ValueError as err:  # a range error, named by file and, for a one-field manifest, field
+        named = f"field {next(iter(kinds))!r} out of range: " if len(kinds) == 1 else ""
+        raise ValueError(f"{path}: {named}{err}") from None
+
+
+def _linear(directory: Path, weights_file: str, bias_file: str, classes: int) -> LinearClassifier:
+    weights = read_tensor(directory / weights_file)
+    classifier = LinearClassifier(weights, read_tensor(directory / bias_file).reshape(-1))
+    if classifier.weights.shape[0] != classes:
+        raise ValueError(f"manifest declares {classes} classes, weights have {classifier.weights.shape[0]}")
+    return classifier
+
+
+_SYNTHETIC = {
+    "threshold": (ThresholdOracle, dict(pixel_value=float, threshold=float)),
+    "constant": (ConstantClassifier, dict(label=int)),
+    "hash": (HashLabelClassifier, dict(classes=int)),
+}
 
 
 def load_classifier(manifest_path) -> BaseClassifier:
@@ -233,35 +269,16 @@ def load_classifier(manifest_path) -> BaseClassifier:
     use a ``type`` tag instead: ``threshold`` (pixel_value, threshold),
     ``constant`` (label) or ``hash`` (classes).
     """
-    manifest_path = Path(manifest_path)
-    spec = json.loads(manifest_path.read_text())
-    if not isinstance(spec, dict):
-        raise ValueError(f"{manifest_path}: expected a JSON object")
-    if "weights" in spec:
-        weights_file, bias_file, classes = _fields(spec, manifest_path, weights=str, bias=str, classes=int)
-        weights = read_tensor(manifest_path.parent / weights_file)
-        bias = read_tensor(manifest_path.parent / bias_file)
-        classifier = LinearClassifier(weights, bias.reshape(-1))
-        if classifier.weights.shape[0] != classes:
-            raise ValueError(
-                f"{manifest_path}: manifest declares {classes} classes, "
-                f"weights have {classifier.weights.shape[0]}"
-            )
-        return classifier
-    kind = spec.get("type")
-    if kind == "threshold":
-        make, kinds = ThresholdOracle, dict(pixel_value=float, threshold=float)
-    elif kind == "constant":
-        make, kinds = ConstantClassifier, dict(label=int)
-    elif kind == "hash":
-        make, kinds = HashLabelClassifier, dict(classes=int)
-    else:
-        raise ValueError(f"{manifest_path}: unrecognized classifier manifest")
-    values = _fields(spec, manifest_path, **kinds)
-    try:
-        return make(*values)
-    except ValueError as err:  # a range error of the classifier, named by manifest and field
-        raise ValueError(f"{manifest_path}: field {' or '.join(map(repr, kinds))} out of range: {err}") from None
+
+    def pick(spec: dict) -> tuple[Callable, dict]:
+        if "weights" in spec:
+            return partial(_linear, Path(manifest_path).parent), dict(weights=str, bias=str, classes=int)
+        kind = spec.get("type")
+        if not (isinstance(kind, str) and kind in _SYNTHETIC):
+            raise ValueError(f"{manifest_path}: unrecognized classifier manifest")
+        return _SYNTHETIC[kind]
+
+    return _read_manifest(manifest_path, pick)
 
 
 @dataclass(frozen=True)
@@ -386,13 +403,12 @@ class SmoothedClassifier:
 
     base: BaseClassifier
     cfg: SmoothingConfig
-    transform: Callable[[np.ndarray, np.ndarray], np.ndarray] = gamma_correct_batch
 
     def predict(self, x: np.ndarray, index: int) -> int | None:
         """Modal label of query ``index`` under ``cfg.n`` draws, or None when not confidently above 1/2."""
         arr = np.asarray(x, dtype=float)
         sampler = SeededSampler(self.cfg.seed, _PREDICT_STREAM_BASE + index)
-        candidate, count = _top(_factor_tally(self.base, arr, self.cfg.dist, sampler, self.cfg.n, self.transform))
+        candidate, count = _top(_factor_tally(self.base, arr, self.cfg.dist, sampler, self.cfg.n, gamma_correct_batch))
         pa_lower = clopper_pearson(SampleCounts(count, self.cfg.n), self.cfg.alpha, Side.LOWER)
         return candidate if pa_lower > 0.5 else None
 
@@ -402,16 +418,14 @@ def empirical_sweep(
     x: np.ndarray,
     step: float,
     gamma_max: float,
-    expected_label: int | None = None,
-    transform: Callable[[np.ndarray, np.ndarray], np.ndarray] = gamma_correct_batch,
 ) -> tuple[float, float] | None:
     """Walk the attack factor away from 1 until the prediction changes.
 
     Upward in additive increments of ``step`` to ``gamma_max``, downward in
     the same increments to a floor of ``step``; both ends are the last factor
     at which the prediction still matched the factor-1 label.  Returns None
-    when the clean prediction is already wrong (or abstains).  ``predict(x,
-    index)`` gets a running query index: 0 at factor 1, then in walk order.
+    when the clean prediction abstains.  ``predict(x, index)`` gets a running
+    query index: 0 at factor 1, then in walk order.
     """
     if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
@@ -421,10 +435,10 @@ def empirical_sweep(
     queries = itertools.count()
 
     def predict_at(gamma: float) -> int | None:
-        return predict(transform(arr, np.array([gamma]))[0], next(queries))
+        return predict(gamma_correct_batch(arr, np.array([gamma]))[0], next(queries))
 
     label0 = predict_at(1.0)
-    if label0 is None or (expected_label is not None and label0 != expected_label):
+    if label0 is None:
         return None
 
     right = 1.0

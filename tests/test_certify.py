@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 from decimal import Context, Decimal, localcontext
@@ -600,10 +601,20 @@ class TestLogSpaceRadius:
             assert (worst > 0.5) == expect_robust
 
 
+def _naming(rule):
+    """A scale-free rule whose certificate names the law it is applied for, as ``certify_for``'s does."""
+
+    def named(dist, bounds):
+        outcome = rule(bounds)
+        return dataclasses.replace(outcome, distribution=dist.descriptor) if isinstance(outcome, Certificate) else outcome
+
+    return named
+
+
 # The rule of each law, called directly; a Kind missing here fails the dispatch test.
 DIRECT_RULES = {
-    Kind.RAYLEIGH: lambda dist, bounds: certify_rayleigh(bounds),
-    Kind.INVERSE_RAYLEIGH: lambda dist, bounds: certify_inverse_rayleigh(bounds),
+    Kind.RAYLEIGH: _naming(certify_rayleigh),
+    Kind.INVERSE_RAYLEIGH: _naming(certify_inverse_rayleigh),
     Kind.LOG_GAUSSIAN: log_space_radius,
     Kind.LOG_LAPLACE: log_space_radius,
     Kind.LOG_UNIFORM: log_space_radius,

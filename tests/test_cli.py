@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from smoothcert import Certificate, ErrorBudget, Method, RealisticConfig, write_tensor
-from smoothcert.cli import EXIT_ABSTAIN, EXIT_ERROR, EXIT_OK, _interval_cells, main
+from smoothcert.cli import EXIT_ABSTAIN, EXIT_ERROR, EXIT_OK, _interval_cells, build_parser, main
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 SCHEMA_DIR = SRC_DIR / "smoothcert" / "schemas"
@@ -57,6 +58,11 @@ class TestTable:
         assert out_path.exists()
         manifest = json.loads((tmp_path / "table.csv.manifest.json").read_text())
         assert manifest["command"] == "table"
+
+    def test_sidecar_config_is_empty(self, capsys, tmp_path):
+        """`table` takes no flag that shapes its rows, and where it writes is not configuration."""
+        run(capsys, ["table", "--out", str(tmp_path / "table.csv")])
+        assert json.loads((tmp_path / "table.csv.manifest.json").read_text())["config"] == {}
 
 
 class TestCert:
@@ -240,6 +246,22 @@ class TestSmooth:
         )
         TestRealisticCommand._assert_one_error_line(code, out, err, "ranged.json", field)
 
+    @pytest.mark.parametrize("dist", ["rayleigh", "inv-rayleigh"])
+    def test_scaled_rayleigh_certificate_names_the_law_run(self, capsys, oracle_workspace, dist):
+        code, out, _ = run(
+            capsys,
+            [
+                "smooth",
+                "--input", str(oracle_workspace / "x.mst1"),
+                "--classifier", str(oracle_workspace / "oracle.json"),
+                "--n", "1000", "--alpha", "0.01", "--dist", dist, "--scale", "0.5",
+            ],
+        )
+        assert code == EXIT_OK
+        result = json.loads(out)["result"]
+        assert result["certificate"]["distribution"] == result["distribution"]
+        assert result["distribution"].endswith("(sigma=0.5)")
+
     def test_env_seed_default(self, capsys, oracle_workspace, monkeypatch):
         monkeypatch.setenv("SMOOTHCERT_SEED", "123")
         _, out, _ = run(
@@ -325,11 +347,14 @@ class TestRealisticCommand:
         assert code == EXIT_ERROR
 
     def _run_with(self, capsys, workspace, **replaced):
-        """Run `realistic` with each named manifest ("budget", "config", "classifier") replaced."""
+        """Run `realistic` with each named manifest ("budget", "config", "classifier") replaced.
+
+        A replacement is a JSON value, or a str written as it is.
+        """
         paths = {"budget": "budget.json", "config": "config.json", "classifier": "constant.json"}
         for role, doc in replaced.items():
             paths[role] = f"bad-{role}.json"
-            (workspace / paths[role]).write_text(json.dumps(doc))
+            (workspace / paths[role]).write_text(doc if isinstance(doc, str) else json.dumps(doc))
         return run(
             capsys,
             [
@@ -360,10 +385,12 @@ class TestRealisticCommand:
             (lambda doc: {k: v for k, v in doc.items() if k != "rho"}, "'rho'"),
             (lambda doc: {**doc, "E": 10**400}, "'E'"),
             (lambda doc: {**doc, "gamma_interval": [0.7, math.inf]}, "'gamma_interval'"),
+            (lambda doc: {**doc, "E": -1.0}, "E must be nonnegative"),
+            (lambda doc: {**doc, "gamma_interval": [1.1, 1.25]}, "gamma_interval must straddle 1"),
         ],
         ids=[
             "list", "null", "string", "scalar-interval", "null-in-interval", "missing",
-            "beyond-double-range", "infinite-in-interval",
+            "beyond-double-range", "infinite-in-interval", "negative-E", "interval-above-one",
         ],
     )
     def test_malformed_budget_field_exits_one(self, capsys, workspace, edit, field):
@@ -394,12 +421,24 @@ class TestRealisticCommand:
             ({"type": "constant", "label": 1.5}, "'label'"),
             ({"type": "hash", "classes": "3"}, "'classes'"),
             ({"weights": None, "bias": "b.mst1", "classes": 2}, "'weights'"),
+            ({"type": []}, "unrecognized"),
         ],
-        ids=["list", "null", "fraction", "string", "null-path"],
+        ids=["list", "null", "fraction", "string", "null-path", "unhashable-type"],
     )
     def test_malformed_classifier_field_exits_one(self, capsys, workspace, doc, field):
         result = self._run_with(capsys, workspace, classifier=doc)
         self._assert_one_error_line(*result, "bad-classifier.json", field)
+
+    @pytest.mark.parametrize("role", ["budget", "config", "classifier"])
+    @pytest.mark.parametrize("text", ["{not json", '{"E": 1,}'], ids=["syntax", "trailing-comma"])
+    def test_unreadable_manifest_names_its_file(self, capsys, workspace, role, text):
+        self._assert_one_error_line(*self._run_with(capsys, workspace, **{role: text}), f"bad-{role}.json")
+
+    def test_out_of_range_config_field_names_the_file_and_field(self, capsys, workspace):
+        doc = {**json.loads((workspace / "config.json").read_text()), "n_eps": 0}
+        self._assert_one_error_line(
+            *self._run_with(capsys, workspace, config=doc), "bad-config.json", "n_eps must be positive"
+        )
 
 
 class TestEstimateError:
@@ -434,6 +473,41 @@ class TestEstimateError:
             ],
         )
         assert code == EXIT_ERROR
+
+
+def test_manifest_config_keys_are_the_parser_destinations(capsys, oracle_workspace):
+    """Every command's manifest config holds its parsed flags, save those recorded elsewhere or not at all."""
+    ws = oracle_workspace
+    budget = ErrorBudget.for_alpha(E=0.0, q_E=0.9, alpha_E=0.01, alpha=0.001, gamma_interval=(0.71, 1.33))
+    (ws / "budget.json").write_text(json.dumps(budget.to_json()))
+    cfg = RealisticConfig(n_eps=20, n_gamma=20, sigma_gauss=0.05, alpha=0.001, seed=3)
+    (ws / "config.json").write_text(json.dumps(cfg.to_json()))
+    (ws / "data").mkdir()
+    for i in range(4):  # q_E = 0.5 at alpha_E = 0.1 needs 4 tensors
+        write_tensor(np.full(3, 0.2 * (i + 1)), ws / "data" / f"t{i}.mst1")
+    smooth = ["--input", str(ws / "x.mst1"), "--classifier", str(ws / "oracle.json")]
+    argv = {
+        "table": ["table", "--out", str(ws / "table.csv")],
+        "cert": ["cert", "--pa", "0.9", "--trivial-pb", "--json"],
+        "smooth": ["smooth", *smooth, "--n", "200", "--alpha", "0.01"],
+        "realistic": ["realistic", *smooth, "--budget", str(ws / "budget.json"), "--config", str(ws / "config.json")],
+        "estimate-error": [
+            "estimate-error", "--dataset", str(ws / "data"), "--gamma-min", "0.8", "--gamma-max", "1.25",
+            "--qe", "0.5", "--alphae", "0.1", "--grid", "4",
+        ],
+        "compare": ["compare", "--out", str(ws / "compare.csv")],
+    }
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(argv) == set(commands)
+    for name, parser in commands.items():
+        code, out, _ = run(capsys, argv[name])
+        assert code in (EXIT_OK, EXIT_ABSTAIN), name
+        if "--out" in argv[name]:  # a CSV command: the manifest is the sidecar
+            manifest = json.loads(Path(f"{argv[name][-1]}.manifest.json").read_text())
+        else:
+            manifest = json.loads(out)["manifest"]
+        dests = {action.dest for action in parser._actions} - {"help", "seed", "out", "json"}
+        assert set(manifest["config"]) == dests, name
 
 
 class TestCompare:

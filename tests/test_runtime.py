@@ -173,9 +173,6 @@ class TestEmpiricalSweep:
         assert right == 3.0
         assert abs(left - 0.01) < 1e-9
 
-    def test_wrong_at_identity_gives_empty(self):
-        assert empirical_sweep(unsmoothed(ORACLE), ORACLE.clean_input(), 0.01, 3.0, expected_label=0) is None
-
     def test_queries_are_numbered_in_walk_order(self):
         seen = []
 
