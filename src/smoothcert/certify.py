@@ -12,9 +12,10 @@ inward-rounding step (:func:`_inward`), so no certificate claims more than the
 exact interval, down to floating-point rounding.  Also provided:
 exact one-sided Clopper-Pearson binomial bounds, computed as closed-form beta
 quantiles rounded outward so that they never claim more than the exact
-binomial tail allows; the reciprocal rule for smoothing with 1/Rayleigh
-factors; log-space certified intervals for the symmetric baseline laws; and
-:func:`certify_for`, the one dispatch from a smoothing law to its rule.
+binomial tail allows; log-space certified intervals for the symmetric
+baseline laws; and :func:`certify_for`, the one dispatch from a smoothing law
+to its rule and the one body of the t-root rule and of its reciprocal for
+smoothing with 1/Rayleigh factors.
 """
 
 from __future__ import annotations
@@ -197,18 +198,6 @@ def _inward(log_gamma: float, size: float) -> float:
     return min(max(math.exp(-shrunk) * (1.0 + 2.0**-51), sys.float_info.min), 1.0)
 
 
-def _rayleigh_logs(pa: float, pb: float) -> tuple[float, float]:
-    """ln gamma1 and ln gamma2 of the Rayleigh interval, each -ln(t) / 2 at a t-root."""
-    log_pb = math.log(pb) if pb > 0.0 else -math.inf
-    return -0.5 * _t_root(math.log1p(-pb), math.log(pa)), -0.5 * _t_root(math.log1p(-pa), log_pb)
-
-
-def _no_separation(bounds: ProbBounds) -> Abstain:
-    return Abstain(
-        f"bounds do not separate: pa_lower={bounds.pa_lower} <= pb_upper={bounds.pb_upper}"
-    )
-
-
 def certify_rayleigh(bounds: ProbBounds) -> Certificate | Abstain:
     """Certified factor interval for Rayleigh-smoothed classifiers.
 
@@ -218,7 +207,7 @@ def certify_rayleigh(bounds: ProbBounds) -> Certificate | Abstain:
     (1 - pa, pb), each unique because the left side is convex and decreasing.
     pb = 0 gives the exact limit (0, inf).
     """
-    return _t_root_rule(rayleigh(), bounds)
+    return certify_for(rayleigh(), bounds)
 
 
 def certify_rayleigh_closed_form(pa_lower: float, confidence: float = 1.0) -> Certificate | Abstain:
@@ -239,20 +228,7 @@ def certify_inverse_rayleigh(bounds: ProbBounds) -> Certificate | Abstain:
     elementwise reciprocal of the Rayleigh one with endpoints swapped: the
     log-endpoints change sign before the one rounding step.
     """
-    return _t_root_rule(inverse_rayleigh(), bounds)
-
-
-def _t_root_rule(dist: SmoothingDistribution, bounds: ProbBounds) -> Certificate | Abstain:
-    """:func:`certify_rayleigh` or, for the reciprocal law, :func:`certify_inverse_rayleigh`, naming ``dist``."""
-    if not bounds.certifiable:
-        return _no_separation(bounds)
-    lo, hi = _rayleigh_logs(bounds.pa_lower, bounds.pb_upper)
-    method = Method.T_ROOT
-    if dist.kind is Kind.INVERSE_RAYLEIGH:
-        lo, hi, method = -hi, -lo, Method.RECIPROCAL
-    # size 1 + |ln gamma|: four times the rounding bound of _t_root
-    lo, hi = _inward(lo, 1.0 + abs(lo)), _inward(hi, 1.0 + abs(hi))
-    return Certificate(lo, hi, method, dist.descriptor, bounds.confidence)
+    return certify_for(inverse_rayleigh(), bounds)
 
 
 def clopper_pearson(counts: SampleCounts, alpha: float, side: Side) -> float:
@@ -314,9 +290,22 @@ def log_space_radius(dist: SmoothingDistribution, bounds: ProbBounds) -> Certifi
 def certify_for(dist: SmoothingDistribution, bounds: ProbBounds) -> Certificate | Abstain:
     """The certificate rule of the smoothing law ``dist`` applied to ``bounds``.
 
-    The one place a :class:`Kind` meets its rule: the Rayleigh t-root, the
-    reciprocal rule, or the ln-space radius of the log-space laws.  The
-    Rayleigh certificates are scale-free, so only the log-space radius reads
-    ``dist.scale``; every certificate names ``dist`` itself.
+    The one place a :class:`Kind` meets its rule: the ln-space radius of the
+    log-space laws, or the t-root rule written here, with ln gamma = -ln(t) / 2
+    at the roots of :func:`certify_rayleigh`, negated and swapped for the
+    reciprocal law (:func:`certify_inverse_rayleigh`).  The t-root rule is
+    scale-free; every certificate names ``dist`` itself.
     """
-    return log_space_radius(dist, bounds) if dist.kind.log_space else _t_root_rule(dist, bounds)
+    if dist.kind.log_space:
+        return log_space_radius(dist, bounds)
+    pa, pb = bounds.pa_lower, bounds.pb_upper
+    if not bounds.certifiable:
+        return Abstain(f"bounds do not separate: pa_lower={pa} <= pb_upper={pb}")
+    lo = -0.5 * _t_root(math.log1p(-pb), math.log(pa))
+    hi = -0.5 * _t_root(math.log1p(-pa), math.log(pb) if pb > 0.0 else -math.inf)
+    method = Method.T_ROOT
+    if dist.kind is Kind.INVERSE_RAYLEIGH:
+        lo, hi, method = -hi, -lo, Method.RECIPROCAL
+    # size 1 + |ln gamma|: four times the rounding bound of _t_root
+    lo, hi = _inward(lo, 1.0 + abs(lo)), _inward(hi, 1.0 + abs(hi))
+    return Certificate(lo, hi, method, dist.descriptor, bounds.confidence)

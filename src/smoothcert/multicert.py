@@ -17,6 +17,7 @@ found by one selection (``np.partition``) per threshold.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import math
@@ -135,25 +136,17 @@ def _solve_threshold(sums: np.ndarray, target: float, upper_tail: bool) -> float
     ``mean(sums <= t) >= target``: the k-th smallest sum, k the least count
     with ``k / n >= target``.  ``upper_tail`` returns the smallest t with
     ``mean(sums >= t) <= target``: the double just above the (m+1)-th largest
-    sum, m the greatest count with ``m / n <= target``.  Counts are compared
-    in float as ``mean`` compares them, since ``target * n`` may round across
-    an integer.  ``sums`` is partially sorted in place.
+    sum, m the greatest count with ``m / n <= target``.  Each count is one
+    bisection over 0..n that compares ``k / n`` in float, as ``mean`` compares
+    it, since ``target * n`` may round across an integer.  ``sums`` is
+    partially sorted in place.
     """
     n = sums.size
     if upper_tail:
-        m = math.floor(target * n)
-        while m / n > target:
-            m -= 1
-        while (m + 1) / n <= target:
-            m += 1
-        kth = n - 1 - m
+        kth = n - bisect.bisect_right(range(n + 1), target, key=lambda m: m / n)  # bisect_right is m + 1
         sums.partition(kth)
         return float(np.nextafter(sums[kth], np.inf))
-    k = math.ceil(target * n)
-    while k / n < target:
-        k += 1
-    while (k - 1) / n >= target:
-        k -= 1
+    k = bisect.bisect_left(range(n + 1), target, key=lambda k: k / n)
     sums.partition(k - 1)
     return float(sums[k - 1])
 

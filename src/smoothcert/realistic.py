@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -99,13 +99,7 @@ class ErrorBudget:
         return self.rho < 0.5
 
     def to_json(self) -> dict:
-        return {
-            "E": self.E,
-            "q_E": self.q_E,
-            "alpha_E": self.alpha_E,
-            "rho": self.rho,
-            "gamma_interval": list(self.gamma_interval),
-        }
+        return {**asdict(self), "gamma_interval": list(self.gamma_interval)}
 
     @classmethod
     def load(cls, path) -> "ErrorBudget":
@@ -136,15 +130,10 @@ class RealisticConfig:
             raise ValueError(f"sigma_gauss must be positive, got {self.sigma_gauss}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        SeededSampler(self.seed)  # the one seed rule
 
     def to_json(self) -> dict:
-        return {
-            "n_eps": self.n_eps,
-            "n_gamma": self.n_gamma,
-            "sigma_gauss": self.sigma_gauss,
-            "alpha": self.alpha,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def load(cls, path) -> "RealisticConfig":

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import sys
 from abc import ABC, abstractmethod
 from collections import Counter
@@ -220,9 +221,10 @@ def _read_manifest(path, pick: Callable[[dict], tuple[Callable, dict]]):
     """The object that the JSON manifest at ``path`` describes.
 
     ``pick(doc)`` gives a constructor and the kind of each field it takes, in
-    order: float, int, str, or tuple for a pair of numbers.  A number must be
-    a finite double, and an int field takes one without a fraction, as the
-    schemas' "integer" does.  A file that is no JSON object, a field that is
+    order: float, int, str, or tuple for a pair of numbers; it may pop a tag
+    that it reads.  A number must be a finite double, and an int field takes
+    one without a fraction, as the schemas' "integer" does.  A file that is no
+    JSON object, a field that the constructor does not take, a field that is
     missing or of another kind, and a value that the constructor rejects each
     raise a ValueError naming the file, and the field where the error is about
     one.
@@ -235,6 +237,9 @@ def _read_manifest(path, pick: Callable[[dict], tuple[Callable, dict]]):
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     make, kinds = pick(doc)
+    unknown = [name for name in doc if name not in kinds]
+    if unknown:
+        raise ValueError(f"{path}: field {unknown[0]!r} is not one this manifest takes")
     for name, kind in kinds.items():
         wanted, fits = _KINDS[kind]
         if not fits(doc.get(name)):
@@ -273,7 +278,7 @@ def load_classifier(manifest_path) -> BaseClassifier:
     def pick(spec: dict) -> tuple[Callable, dict]:
         if "weights" in spec:
             return partial(_linear, Path(manifest_path).parent), dict(weights=str, bias=str, classes=int)
-        kind = spec.get("type")
+        kind = spec.pop("type", None)
         if not (isinstance(kind, str) and kind in _SYNTHETIC):
             raise ValueError(f"{manifest_path}: unrecognized classifier manifest")
         return _SYNTHETIC[kind]
@@ -423,14 +428,15 @@ def empirical_sweep(
 
     Upward in additive increments of ``step`` to ``gamma_max``, downward in
     the same increments to a floor of ``step``; both ends are the last factor
-    at which the prediction still matched the factor-1 label.  Returns None
-    when the clean prediction abstains.  ``predict(x, index)`` gets a running
-    query index: 0 at factor 1, then in walk order.
+    at which the prediction still matched the factor-1 label; both limits are
+    finite, so the walk ends even where the prediction never changes.  Returns
+    None when the clean prediction abstains.  ``predict(x, index)`` gets a
+    running query index: 0 at factor 1, then in walk order, upward first.
     """
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    if not gamma_max > 1.0:
-        raise ValueError(f"gamma_max must exceed 1, got {gamma_max}")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
+    if not 1.0 < gamma_max < math.inf:
+        raise ValueError(f"gamma_max must be finite and exceed 1, got {gamma_max}")
     arr = validate_image(x)
     queries = itertools.count()
 
@@ -441,29 +447,19 @@ def empirical_sweep(
     if label0 is None:
         return None
 
-    right = 1.0
-    k = 1
-    while True:
-        gamma = min(1.0 + k * step, gamma_max)
-        if predict_at(gamma) != label0:
-            break
-        right = gamma
-        if gamma >= gamma_max:
-            break
-        k += 1
+    def last_kept(factors) -> float:  # the factor before the first whose label differs, or 1
+        kept = 1.0
+        for gamma in factors:
+            if predict_at(gamma) != label0:
+                break
+            kept = gamma
+        return kept
 
-    left = 1.0
-    k = 1
-    while True:
-        gamma = 1.0 - k * step
-        if gamma < step - 1e-12:
-            break
-        if predict_at(gamma) != label0:
-            break
-        left = gamma
-        k += 1
-
-    return left, right
+    # upward while the previous factor was below gamma_max; downward while at least the floor
+    up = itertools.takewhile(lambda k: 1.0 + (k - 1) * step < gamma_max, itertools.count(1))
+    right = last_kept(min(1.0 + k * step, gamma_max) for k in up)
+    down = (1.0 - k * step for k in itertools.count(1))
+    return last_kept(itertools.takewhile(lambda gamma: gamma >= step - 1e-12, down)), right
 
 
 def exact_oracle_probability(

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import math
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -636,6 +637,49 @@ class TestCertifyFor:
         assert type(outcome) is type(expected)
         # method, distribution, confidence and bit-equal endpoints (all positive)
         assert outcome == expected
+
+
+
+def _digest_pairs() -> list[tuple[float, float]]:
+    """40 bound pairs: 30 random, half with pb spread over 300 decades, and the edges."""
+    rng = np.random.default_rng(19)
+    pairs = []
+    for i in range(30):
+        pa = float(rng.uniform(0.3, 1.0))
+        pb = float(rng.uniform(0.0, 1.0 - pa)) if i % 2 else float(pa * 10.0 ** rng.uniform(-300.0, 0.0))
+        pairs.append((pa, min(pb, math.nextafter(1.0, 0.0))))
+    return pairs + [
+        (0.9, 0.0), (0.6, 0.0), (1.0 - 1e-12, 0.0), (1.0 - 1e-12, 1e-300), (1.0 - 2**-53, 2**-53),
+        (0.5 + 1e-12, 0.5 - 1e-12), (0.5 + 1e-12, 0.0), (0.45, 0.5), (0.7, 0.7), (0.999, 0.001),
+    ]
+
+
+def _encode(outcome) -> str:
+    if isinstance(outcome, Certificate):
+        g1, g2 = outcome.gamma1, outcome.gamma2
+        return f"{g1.hex()} {g2.hex()} {outcome.method.value} {outcome.distribution} {outcome.confidence.hex()}"
+    return outcome.reason
+
+
+# sha256 of every certify_for outcome over _digest_pairs() at scale 0.8 and
+# confidence 0.99: endpoint bits, method and law name, or the abstain text.
+CERTIFY_FOR_DIGESTS = {
+    Kind.RAYLEIGH: "fe5b682dd745a1e3f56ed5f995d282187156ea8ad052faa4cbb925190d4f328d",
+    Kind.INVERSE_RAYLEIGH: "1a329c30a2b72e5d65bcffc837b5c8394846888ee3632dd8beafe56f37c480df",
+    Kind.LOG_GAUSSIAN: "78c1d3945e655fba23ec3815ea7b3aa4bf8b5969a85cecbc02c8cc446ddab7d4",
+    Kind.LOG_LAPLACE: "64f4992a53c9eb8ffef99e352c91ed0dde8a090da65033d56f7528b7654f0567",
+    Kind.LOG_UNIFORM: "4a5d5a2f893e24428507408ca6c8b5aa7457ec8fdb495c7f9950708b33e9a017",
+}
+
+
+class TestCertifyForDigests:
+    @pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
+    def test_outcomes_are_golden(self, kind):
+        dist = SmoothingDistribution(kind, 0.8)
+        outcomes = [certify_for(dist, ProbBounds(pa, pb, 0.99)) for pa, pb in _digest_pairs()]
+        assert sum(isinstance(o, Certificate) for o in outcomes) == (31 if kind is Kind.LOG_LAPLACE else 37)
+        text = "\n".join(map(_encode, outcomes))
+        assert hashlib.sha256(text.encode()).hexdigest() == CERTIFY_FOR_DIGESTS[kind]
 
 
 def _np_worst_case(pdf, grid, pa, delta) -> float:

@@ -262,6 +262,18 @@ class TestSmooth:
         assert result["certificate"]["distribution"] == result["distribution"]
         assert result["distribution"].endswith("(sigma=0.5)")
 
+    def test_infinite_sweep_limit_exits_one(self, capsys, oracle_workspace):
+        code, out, err = run(
+            capsys,
+            [
+                "smooth",
+                "--input", str(oracle_workspace / "x.mst1"),
+                "--classifier", str(oracle_workspace / "oracle.json"),
+                "--n", "200", "--alpha", "0.01", "--sweep", "--gamma-max", "inf",
+            ],
+        )
+        TestRealisticCommand._assert_one_error_line(code, out, err, "gamma_max", "finite")
+
     def test_env_seed_default(self, capsys, oracle_workspace, monkeypatch):
         monkeypatch.setenv("SMOOTHCERT_SEED", "123")
         _, out, _ = run(
@@ -332,6 +344,14 @@ class TestRealisticCommand:
         config_doc = json.loads((workspace / "config.json").read_text())
         jsonschema.validate(config_doc, load_schema("config.schema.json"))
 
+    def test_config_schema_takes_the_seeds_the_reader_takes(self, workspace):
+        doc = json.loads((workspace / "config.json").read_text())
+        schema = load_schema("config.schema.json")
+        jsonschema.validate({**doc, "seed": 2**64 - 1}, schema)
+        for seed in (-1, 2**64):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate({**doc, "seed": seed}, schema)
+
     def test_malformed_budget_exits_one(self, capsys, workspace):
         (workspace / "broken.json").write_text("{not json")
         code, _, err = run(
@@ -387,10 +407,11 @@ class TestRealisticCommand:
             (lambda doc: {**doc, "gamma_interval": [0.7, math.inf]}, "'gamma_interval'"),
             (lambda doc: {**doc, "E": -1.0}, "E must be nonnegative"),
             (lambda doc: {**doc, "gamma_interval": [1.1, 1.25]}, "gamma_interval must straddle 1"),
+            (lambda doc: {**doc, "bogus": 1}, "'bogus'"),
         ],
         ids=[
             "list", "null", "string", "scalar-interval", "null-in-interval", "missing",
-            "beyond-double-range", "infinite-in-interval", "negative-E", "interval-above-one",
+            "beyond-double-range", "infinite-in-interval", "negative-E", "interval-above-one", "unknown-field",
         ],
     )
     def test_malformed_budget_field_exits_one(self, capsys, workspace, edit, field):
@@ -399,7 +420,10 @@ class TestRealisticCommand:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("n_eps", None), ("n_gamma", 50.7), ("seed", True), ("sigma_gauss", [0.05]), ("sigma_gauss", math.inf)],
+        [
+            ("n_eps", None), ("n_gamma", 50.7), ("seed", True), ("sigma_gauss", [0.05]), ("sigma_gauss", math.inf),
+            ("bogus", 1),
+        ],
     )
     def test_malformed_config_field_exits_one(self, capsys, workspace, field, value):
         doc = {**json.loads((workspace / "config.json").read_text()), field: value}
@@ -422,8 +446,14 @@ class TestRealisticCommand:
             ({"type": "hash", "classes": "3"}, "'classes'"),
             ({"weights": None, "bias": "b.mst1", "classes": 2}, "'weights'"),
             ({"type": []}, "unrecognized"),
+            ({"type": "constant", "label": 1, "bogus": 1}, "'bogus'"),
+            ({"type": "constant", "label": 1, "classes": 3}, "'classes'"),
+            ({"type": "linear", "weights": "w.mst1", "bias": "b.mst1", "classes": 2}, "'type'"),
         ],
-        ids=["list", "null", "fraction", "string", "null-path", "unhashable-type"],
+        ids=[
+            "list", "null", "fraction", "string", "null-path", "unhashable-type",
+            "unknown-field", "field-of-another-classifier", "tagged-linear",
+        ],
     )
     def test_malformed_classifier_field_exits_one(self, capsys, workspace, doc, field):
         result = self._run_with(capsys, workspace, classifier=doc)
@@ -438,6 +468,13 @@ class TestRealisticCommand:
         doc = {**json.loads((workspace / "config.json").read_text()), "n_eps": 0}
         self._assert_one_error_line(
             *self._run_with(capsys, workspace, config=doc), "bad-config.json", "n_eps must be positive"
+        )
+
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "two-to-the-64"])
+    def test_out_of_range_config_seed_names_the_file(self, capsys, workspace, seed):
+        doc = {**json.loads((workspace / "config.json").read_text()), "seed": seed}
+        self._assert_one_error_line(
+            *self._run_with(capsys, workspace, config=doc), "bad-config.json", "seed must be a 64-bit unsigned integer"
         )
 
 

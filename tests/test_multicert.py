@@ -27,6 +27,8 @@ from smoothcert.multicert import (
 )
 from smoothcert.rng import SeededSampler
 
+from loop_threshold import loop_threshold
+
 SIGMA = RayleighParams.unit_median().sigma
 
 
@@ -166,6 +168,23 @@ class TestSolveThresholds:
             target = 0.5 / mc if upper_tail else 1.0 / mc
         expected = bisection_threshold(sums, target, upper_tail)
         assert _solve_threshold(sums.copy(), target, upper_tail) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 49, 100, 1000, 10_007, 99_991, 100_000])
+    def test_equals_the_loop_count_at_every_neighbour_of_k_over_n(self, n):
+        # distinct sums, so the threshold names the order statistic it picked
+        sums = np.random.default_rng(n).permutation(n).astype(float)
+        counts = set(range(min(n, 12) + 1)) | {n // 3, n // 2, n - 2, n - 1} | set(range(0, n + 1, max(n // 37, 1)))
+        targets = {
+            t
+            for k in counts
+            if 0 <= k <= n
+            for t in (math.nextafter(k / n, -math.inf), k / n, math.nextafter(k / n, math.inf))
+            if 0.0 < t < 1.0
+        } | {0.56, 0.29, 0.123456789}
+        for target in sorted(targets):
+            for upper_tail in (False, True):
+                expected = loop_threshold(sums.copy(), target, upper_tail)
+                assert _solve_threshold(sums.copy(), target, upper_tail) == expected, (target, upper_tail)
 
     def test_draws_are_golden(self):
         # sha256 of the raw float64 bytes recorded with numpy 2.4 / scipy 1.17;

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -39,6 +41,7 @@ from smoothcert import runtime
 from smoothcert.rng import SeededSampler, _usable_cores
 from smoothcert.runtime import BaseClassifier
 from smoothcert.transforms import gamma_correct_batch
+from two_loop_sweep import two_loop_sweep
 
 ORACLE = ThresholdOracle(pixel_value=0.5, threshold=0.25)
 
@@ -206,6 +209,46 @@ class TestEmpiricalSweep:
         swept_a = empirical_sweep(first.predict, ORACLE.clean_input(), 0.1, 3.0)
         swept_b = empirical_sweep(second.predict, ORACLE.clean_input(), 0.1, 3.0)
         assert swept_a == swept_b
+
+
+    @pytest.mark.parametrize("step, gamma_max", [(0.01, 2.5), (0.3, 2.5), (0.7, 1.2), (0.6, 3.0)])
+    @pytest.mark.parametrize("k_up", [1, 2, 5, None])
+    @pytest.mark.parametrize("k_down", [1, 3, None])
+    def test_matches_the_two_loop_walk(self, step, gamma_max, k_up, k_down):
+        # label 1 between the factors just past k_down steps down and k_up steps up, 0 outside
+        high = 1.0 + (k_up - 0.5) * step if k_up else math.inf
+        low = 1.0 - (k_down - 0.5) * step if k_down else -math.inf
+        x = np.array([0.5])
+
+        def recording(seen):
+            def predict(image, index):
+                seen.append((image.tobytes(), index))
+                return 1 if 0.5**high <= image[0] <= 0.5**low else 0
+
+            return predict
+
+        walked, expected = [], []
+        interval = empirical_sweep(recording(walked), x, step, gamma_max)
+        assert interval == two_loop_sweep(recording(expected), x, step, gamma_max)
+        assert walked == expected
+
+    def test_matches_the_two_loop_walk_when_the_clean_input_abstains(self):
+        assert two_loop_sweep(lambda x, index: None, np.array([0.5]), 0.1, 2.0) is None
+        assert empirical_sweep(lambda x, index: None, np.array([0.5]), 0.1, 2.0) is None
+
+    @pytest.mark.parametrize(
+        "step, gamma_max", [(0.01, math.inf), (math.inf, 2.0), (0.01, math.nan), (math.nan, 2.0)]
+    )
+    def test_limits_must_be_finite(self, step, gamma_max):
+        queries = itertools.count()
+
+        def constant(x, index):  # fails rather than hangs if the walk has no end
+            if next(queries) >= 1000:
+                raise RuntimeError("the walk made 1000 queries")
+            return 0
+
+        with pytest.raises(ValueError, match="finite"):
+            empirical_sweep(constant, np.array([0.5]), step, gamma_max)
 
 
 class TestSmoothedClassifier:
