@@ -195,14 +195,9 @@ def cmd_cert(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if not 0.0 < args.pa < 1.0:
         raise ValueError(f"--pa must lie in (0, 1), got {args.pa}")
-    if args.trivial_pb:
-        pb = 1.0 - args.pa
-    elif args.pb is not None:
-        pb = args.pb
-        if pb >= args.pa:
-            raise ValueError(f"--pb {pb} must be below --pa {args.pa}")
-    else:
-        raise ValueError("either --pb or --trivial-pb is required")
+    pb = 1.0 - args.pa if args.trivial_pb else args.pb
+    if not args.trivial_pb and pb >= args.pa:
+        raise ValueError(f"--pb {pb} must be below --pa {args.pa}")
 
     outcome = certify_for(_smoothing_distribution(args.dist, args.scale), ProbBounds(args.pa, pb))
 
@@ -323,10 +318,7 @@ def _parse_pa_grid(spec: str) -> list[float]:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"--pa-grid range must be start:stop:count, got {spec!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise ValueError("--pa-grid count must be positive")
-        return [float(v) for v in np.linspace(start, stop, count)]
+        return [float(v) for v in np.linspace(float(parts[0]), float(parts[1]), max(int(parts[2]), 0))]
     return [float(v) for v in spec.split(",") if v.strip()]
 
 
@@ -344,6 +336,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if unknown:
         raise ValueError(f"unknown distributions: {unknown} (choose from {list(_DIST_FACTORIES)})")
     pa_grid = _parse_pa_grid(args.pa_grid)
+    if not (dists and pa_grid):
+        raise ValueError("--dists and --pa-grid must each name at least one value")
 
     rows = []
     for pa in pa_grid:
@@ -393,8 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cert", help="certificate from probability bounds")
     p.add_argument("--pa", type=float, required=True, help="lower bound on the top-class probability")
-    p.add_argument("--pb", type=float, help="upper bound on the runner-up probability")
-    p.add_argument("--trivial-pb", action="store_true", help="use pb = 1 - pa")
+    runner_up = p.add_mutually_exclusive_group(required=True)
+    runner_up.add_argument("--pb", type=float, help="upper bound on the runner-up probability")
+    runner_up.add_argument("--trivial-pb", action="store_true", help="use pb = 1 - pa")
     p.add_argument("--dist", choices=list(_DIST_FACTORIES), default="rayleigh")
     p.add_argument("--scale", type=float, help="distribution scale (defaults: unit-median sigma / 1.0)")
     p.add_argument("--json", action="store_true", help="emit a JSON report instead of plain text")

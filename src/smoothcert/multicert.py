@@ -5,9 +5,10 @@ an interval: a factor vector gamma is robust when a weighted sum of squared
 factors (each square is exponentially distributed) stays below one threshold
 more often than it exceeds another.  The weighted-sum law has no convenient
 closed form for mixed-sign weights, so probabilities are estimated by
-Monte-Carlo with common random numbers and every verdict carries a 99%
-half-width; queries whose intervals overlap are reported as unknown rather
-than resolved optimistically.
+Monte-Carlo with common random numbers: a query weights one set of draws
+to solve its two thresholds and a fresh set for its verdict, and each
+probability carries a 99% interval; queries whose intervals overlap are
+reported as unknown rather than resolved optimistically.
 
 With the draws fixed, each empirical tail probability is a step function of
 the threshold, so both thresholds are exact order statistics of the sampled
@@ -72,14 +73,6 @@ class MultiCertProblem:
             raise ValueError(f"mc_samples must be >= {_MIN_MC_SAMPLES}, got {self.mc_samples}")
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    """A Monte-Carlo probability estimate with its 99% normal half-width."""
-
-    value: float
-    half_width: float
-
-
 class Verdict(enum.Enum):
     INSIDE = "inside"
     OUTSIDE = "outside"
@@ -96,10 +89,10 @@ class RegionQuery:
     verdict: Verdict
 
 
-def _sorted_gamma(gamma: Sequence[float]) -> np.ndarray:
+def _sorted_gamma(gamma: Sequence[float], n: int) -> np.ndarray:
     g = np.asarray(gamma, dtype=float)
-    if g.ndim != 1 or g.size < 1:
-        raise ValueError(f"gamma must be a nonempty vector, got shape {g.shape}")
+    if g.shape != (n,):
+        raise ValueError(f"gamma must be a vector of {n} entries, got shape {g.shape}")
     if np.any(g <= 0.0):
         raise ValueError("gamma entries must be positive")
     # Canonical descending order makes queries permutation-symmetric: the
@@ -122,10 +115,17 @@ def _exp_squares(sigma: float, n: int, mc_samples: int, sampler: SeededSampler) 
     return u.reshape(mc_samples, n)
 
 
-def _estimate(indicator: np.ndarray) -> McEstimate:
+def _sums(problem: MultiCertProblem, coeffs: np.ndarray, stream_index: int) -> np.ndarray:
+    """Draws of sum_i coeffs_i beta_i^2 from stream ``stream_index`` of the problem's seed."""
+    sampler = SeededSampler(problem.seed, stream_index)
+    return _exp_squares(problem.sigma, problem.n, problem.mc_samples, sampler) @ coeffs
+
+
+def _estimate(indicator: np.ndarray) -> tuple[float, float]:
+    """The 99% normal interval (lo, hi) around the share of true entries."""
     p = float(indicator.mean())
     half = _Z99 * math.sqrt(p * (1.0 - p) / indicator.size)
-    return McEstimate(p, half)
+    return p - half, p + half
 
 
 def _solve_threshold(sums: np.ndarray, target: float, upper_tail: bool) -> float:
@@ -163,16 +163,10 @@ def solve_thresholds(
     identity vector has all-zero coefficients; membership short-circuits
     there, and (0, 0) is returned.
     """
-    g = _sorted_gamma(gamma)
-    if g.size != problem.n:
-        raise ValueError(f"gamma has {g.size} entries, problem expects {problem.n}")
-    coeffs = 1.0 - g**-2.0
+    coeffs = 1.0 - _sorted_gamma(gamma, problem.n) ** -2.0
     if np.all(coeffs == 0.0):
         return 0.0, 0.0
-    squares = _exp_squares(
-        problem.sigma, problem.n, problem.mc_samples, SeededSampler(problem.seed, stream_index)
-    )
-    sums = squares @ coeffs
+    sums = _sums(problem, coeffs, stream_index)
     r = _solve_threshold(sums, problem.pa_lower, upper_tail=False)
     theta = _solve_threshold(sums, problem.pb_upper, upper_tail=True)
     return r, theta
@@ -188,24 +182,16 @@ def in_robust_region(
     only when the two 99% intervals are disjoint, UNKNOWN otherwise.  The
     identity vector is always inside (the smoothed outputs coincide there).
     """
-    g = _sorted_gamma(gamma)
-    if g.size != problem.n:
-        raise ValueError(f"gamma has {g.size} entries, problem expects {problem.n}")
+    g = _sorted_gamma(gamma, problem.n)
     if np.all(g == 1.0):
         return RegionQuery(tuple(np.asarray(gamma, dtype=float)), 0.0, 0.0, Verdict.INSIDE)
 
     r, theta = solve_thresholds(problem, g, stream_index=stream_base)
-    flipped = g**2.0 - 1.0
-    squares = _exp_squares(
-        problem.sigma, problem.n, problem.mc_samples, SeededSampler(problem.seed, stream_base + 1)
-    )
-    sums = squares @ flipped
-    lhs = _estimate(sums <= r)
-    rhs = _estimate(sums >= theta)
-
-    if lhs.value - lhs.half_width > rhs.value + rhs.half_width:
+    sums = _sums(problem, g**2.0 - 1.0, stream_base + 1)
+    (lhs_lo, lhs_hi), (rhs_lo, rhs_hi) = _estimate(sums <= r), _estimate(sums >= theta)
+    if lhs_lo > rhs_hi:
         verdict = Verdict.INSIDE
-    elif lhs.value + lhs.half_width < rhs.value - rhs.half_width:
+    elif lhs_hi < rhs_lo:
         verdict = Verdict.OUTSIDE
     else:
         verdict = Verdict.UNKNOWN

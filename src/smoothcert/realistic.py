@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import bdtrc, ndtri
 
+from . import runtime
 from .certify import Abstain, ProbBounds, SampleCounts, Side, certify_for, clopper_pearson
 from .distributions import SmoothingDistribution, rayleigh
 from .rng import SeededSampler, _split
@@ -103,8 +104,7 @@ class ErrorBudget:
 
     @classmethod
     def load(cls, path) -> "ErrorBudget":
-        kinds = dict(E=float, q_E=float, alpha_E=float, rho=float, gamma_interval=tuple)
-        return _read_manifest(path, lambda doc: (cls, kinds))
+        return _read_manifest(path, lambda doc: cls)
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,7 @@ class RealisticConfig:
 
     @classmethod
     def load(cls, path) -> "RealisticConfig":
-        kinds = dict(n_eps=int, n_gamma=int, sigma_gauss=float, alpha=float, seed=int)
-        return _read_manifest(path, lambda doc: (cls, kinds))
+        return _read_manifest(path, lambda doc: cls)
 
 
 def adjust_probabilities(pa_lower: float, pb_upper: float, rho: float) -> ProbBounds | Abstain:
@@ -218,8 +217,8 @@ def estimate_conversion_error(
     over the factor draws.
     """
     lo, hi = gamma_interval
-    if not 0.0 < lo < hi:
-        raise ValueError(f"gamma interval must satisfy 0 < lo < hi, got {gamma_interval}")
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError(f"gamma interval must satisfy 0 < lo < hi < inf, got {gamma_interval}")
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     tensors = [validate_image(x) for x in dataset]
@@ -234,7 +233,12 @@ def estimate_conversion_error(
     law = dist or rayleigh()
     betas = law.sample(SeededSampler(seed), len(tensors))
     grid = np.linspace(lo, hi, grid_points)
-    maxima = [conversion_error(x, float(beta), grid).max() for x, beta in zip(tensors, betas)]
+
+    def worst(x: np.ndarray, beta: float) -> float:  # chunks of at most _TALLY_CAP doubles: memory flat in grid_points
+        step = max(1, runtime._TALLY_CAP // x.size)
+        return max(conversion_error(x, beta, grid[i : i + step]).max() for i in range(0, grid_points, step))
+
+    maxima = [worst(x, float(beta)) for x, beta in zip(tensors, betas)]
     return quantile_upper_confidence(maxima, q_E, alpha_E)
 
 

@@ -15,6 +15,7 @@ the ground-truth oracle the test suite certifies against.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -24,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_origin
 
 import numpy as np
 
@@ -217,17 +218,18 @@ _KINDS = {
 }
 
 
-def _read_manifest(path, pick: Callable[[dict], tuple[Callable, dict]]):
+def _read_manifest(path, pick: Callable[[dict], Callable]):
     """The object that the JSON manifest at ``path`` describes.
 
-    ``pick(doc)`` gives a constructor and the kind of each field it takes, in
-    order: float, int, str, or tuple for a pair of numbers; it may pop a tag
-    that it reads.  A number must be a finite double, and an int field takes
-    one without a fraction, as the schemas' "integer" does.  A file that is no
-    JSON object, a field that the constructor does not take, a field that is
-    missing or of another kind, and a value that the constructor rejects each
-    raise a ValueError naming the file, and the field where the error is about
-    one.
+    ``pick(doc)`` gives the constructor, and may pop a tag that it reads.  The
+    constructor's parameters are the manifest's fields, each one required,
+    and each annotation (or its origin) gives the field's kind: float, int,
+    str, or tuple for a pair of numbers.  A number must be a finite double,
+    and an int field takes one without a fraction, as the schemas' "integer"
+    does.  A file that is no JSON object, a field that the constructor does
+    not take, a field that is missing or of another kind, and a value that
+    the constructor rejects each raise a ValueError naming the file, and the
+    field where the error is about one.
     """
     path = Path(path)
     try:
@@ -236,7 +238,9 @@ def _read_manifest(path, pick: Callable[[dict], tuple[Callable, dict]]):
         raise ValueError(f"{path}: not a JSON document: {err}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    make, kinds = pick(doc)
+    make = pick(doc)
+    params = inspect.signature(make, eval_str=True).parameters
+    kinds = {name: get_origin(param.annotation) or param.annotation for name, param in params.items()}
     unknown = [name for name in doc if name not in kinds]
     if unknown:
         raise ValueError(f"{path}: field {unknown[0]!r} is not one this manifest takes")
@@ -251,19 +255,22 @@ def _read_manifest(path, pick: Callable[[dict], tuple[Callable, dict]]):
         raise ValueError(f"{path}: {named}{err}") from None
 
 
-def _linear(directory: Path, weights_file: str, bias_file: str, classes: int) -> LinearClassifier:
-    weights = read_tensor(directory / weights_file)
-    classifier = LinearClassifier(weights, read_tensor(directory / bias_file).reshape(-1))
+def _linear(directory: Path, weights: str, bias: str, classes: int) -> LinearClassifier:
+    classifier = LinearClassifier(read_tensor(directory / weights), read_tensor(directory / bias).reshape(-1))
     if classifier.weights.shape[0] != classes:
         raise ValueError(f"manifest declares {classes} classes, weights have {classifier.weights.shape[0]}")
     return classifier
 
 
-_SYNTHETIC = {
-    "threshold": (ThresholdOracle, dict(pixel_value=float, threshold=float)),
-    "constant": (ConstantClassifier, dict(label=int)),
-    "hash": (HashLabelClassifier, dict(classes=int)),
-}
+def _constant(label: int) -> ConstantClassifier:
+    return ConstantClassifier(label)
+
+
+def _hash(classes: int) -> HashLabelClassifier:
+    return HashLabelClassifier(classes)
+
+
+_SYNTHETIC = {"threshold": ThresholdOracle, "constant": _constant, "hash": _hash}
 
 
 def load_classifier(manifest_path) -> BaseClassifier:
@@ -275,9 +282,9 @@ def load_classifier(manifest_path) -> BaseClassifier:
     ``constant`` (label) or ``hash`` (classes).
     """
 
-    def pick(spec: dict) -> tuple[Callable, dict]:
+    def pick(spec: dict) -> Callable:
         if "weights" in spec:
-            return partial(_linear, Path(manifest_path).parent), dict(weights=str, bias=str, classes=int)
+            return partial(_linear, Path(manifest_path).parent)
         kind = spec.pop("type", None)
         if not (isinstance(kind, str) and kind in _SYNTHETIC):
             raise ValueError(f"{manifest_path}: unrecognized classifier manifest")

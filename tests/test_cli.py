@@ -1,10 +1,12 @@
 import argparse
 import csv
+import inspect
 import io
 import json
 import math
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import jsonschema
@@ -93,6 +95,13 @@ class TestCert:
         with pytest.raises(SystemExit) as excinfo:
             main(["cert", "--pa", "0.9", "--nonsense"])
         assert excinfo.value.code == EXIT_ERROR
+
+    @pytest.mark.parametrize("runner_up", [["--pb", "0.05", "--trivial-pb"], []], ids=["both", "neither"])
+    def test_exactly_one_runner_up_flag(self, capsys, runner_up):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cert", "--pa", "0.9", *runner_up])
+        assert excinfo.value.code == EXIT_ERROR
+        assert "--trivial-pb" in capsys.readouterr().err
 
     @pytest.mark.parametrize("dist", ["rayleigh", "inv-rayleigh", "log-gaussian", "log-laplace", "log-uniform"])
     @pytest.mark.parametrize("scale", ["0", "-3"])
@@ -344,6 +353,20 @@ class TestRealisticCommand:
         config_doc = json.loads((workspace / "config.json").read_text())
         jsonschema.validate(config_doc, load_schema("config.schema.json"))
 
+    @pytest.mark.parametrize("record, name", [(ErrorBudget, "budget.schema.json"), (RealisticConfig, "config.schema.json")])
+    def test_schema_fields_are_the_readers(self, record, name):
+        # the reader takes a record's fields, in order, from its constructor
+        schema = load_schema(name)
+        params = inspect.signature(record, eval_str=True).parameters
+        assert schema["required"] == list(params)
+        assert list(schema["properties"]) == list(params)
+        for field, param in params.items():
+            prop = schema["properties"][field]
+            if typing.get_origin(param.annotation) is tuple:
+                assert (prop["type"], prop["items"]["type"], prop["minItems"], prop["maxItems"]) == ("array", "number", 2, 2)
+            else:
+                assert prop["type"] == {float: "number", int: "integer"}[param.annotation]
+
     def test_config_schema_takes_the_seeds_the_reader_takes(self, workspace):
         doc = json.loads((workspace / "config.json").read_text())
         schema = load_schema("config.schema.json")
@@ -499,6 +522,18 @@ class TestEstimateError:
         jsonschema.validate(report, load_schema("report.schema.json"))
         assert report["result"]["E"] == 0.0
 
+    def test_infinite_interval_end_exits_one(self, capsys, tmp_path):
+        dataset = tmp_path / "data"
+        dataset.mkdir()
+        rng = np.random.default_rng(1)
+        for i in range(50):
+            write_tensor(rng.uniform(0.0, 1.0, (4, 4)), dataset / f"t{i:02d}.mst1")
+        argv = ["estimate-error", "--dataset", str(dataset), "--gamma-min", "0.9", "--qe", "0.9", "--alphae", "0.05"]
+        code, out, err = run(capsys, [*argv, "--gamma-max", "inf"])
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "gamma interval" in err
+
     def test_missing_dataset_exits_one(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -579,6 +614,13 @@ class TestCompare:
         assert code == EXIT_ERROR
         assert out == ""
         assert "scale" in err
+
+    @pytest.mark.parametrize("flag", ["--pa-grid", "--dists"])
+    def test_empty_list_exits_one(self, capsys, flag):
+        code, out, err = run(capsys, ["compare", flag, ""])
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "at least one" in err
 
     def test_bad_distribution_exits_one(self, capsys):
         code, _, err = run(capsys, ["compare", "--dists", "cauchy"])

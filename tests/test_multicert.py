@@ -2,7 +2,7 @@ import hashlib
 import math
 import sys
 import threading
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import pytest
@@ -20,8 +20,7 @@ from smoothcert import (
 )
 from smoothcert.multicert import (
     _MIN_MC_SAMPLES,
-    McEstimate,
-    _estimate,
+    _Z99,
     _exp_squares,
     _solve_threshold,
 )
@@ -67,6 +66,11 @@ MC_SIZES = [100_000, 10_007, 99_991]
 TARGET_PAIRS = [(0.3, 0.15), (0.123456789, 0.1), (0.56, 0.29), (0.9, 0.05)]
 
 
+class McEstimate(NamedTuple):
+    value: float
+    half_width: float
+
+
 def weighted_expsum_cdf(
     coeffs: Sequence[float],
     sigma: float,
@@ -75,7 +79,7 @@ def weighted_expsum_cdf(
     seed: int,
     stream_index: int = 0,
 ) -> McEstimate:
-    """Monte-Carlo estimate of P(sum_i c_i * beta_i^2 <= threshold).
+    """Monte-Carlo estimate of P(sum_i c_i * beta_i^2 <= threshold), with its 99% half-width.
 
     Deterministic in ``(seed, stream_index)``.  An all-zero coefficient vector
     degenerates to a point mass at 0 and is answered exactly.
@@ -89,7 +93,8 @@ def weighted_expsum_cdf(
         return McEstimate(1.0 if threshold >= 0.0 else 0.0, 0.0)
     c = np.sort(c)[::-1]
     squares = _exp_squares(sigma, c.size, mc_samples, SeededSampler(seed, stream_index))
-    return _estimate(squares @ c <= threshold)
+    p = float((squares @ c <= threshold).mean())
+    return McEstimate(p, _Z99 * math.sqrt(p * (1.0 - p) / mc_samples))
 
 
 
@@ -277,3 +282,24 @@ class TestScanGammaGrid:
     def test_axis_count_checked(self):
         with pytest.raises(ValueError):
             scan_gamma_grid(make_problem(n=2), [np.array([1.0])])
+
+    @pytest.mark.parametrize(
+        "n, pa, pb, mc, seed, axis, digest",
+        [
+            # equal factors, the identity, and all three verdicts on each grid
+            (2, 0.9, 0.05, 20_000, 7, [0.6, 1.0, 1.3, 1.3, 1.8],
+             "beec7ad3fd216642ee392fc14e3f640bc9cbaf3990af6e6a480e4829537336d4"),
+            (3, 0.85, 0.1, 10_007, 8, [0.6, 1.0, 1.4, 1.4],
+             "ce90377461ab11d153ea63db4eb17bc9668e6c3ca5cd5c6143f9cc366cce2da6"),
+        ],
+    )
+    def test_queries_are_golden(self, n, pa, pb, mc, seed, axis, digest):
+        # sha256 of each point's (r, theta) float64 bytes and verdict name,
+        # recorded with numpy 2.4 / scipy 1.17
+        queries = scan_gamma_grid(make_problem(pa=pa, pb=pb, n=n, mc=mc, seed=seed), [axis] * n)
+        assert {q.verdict for q in queries} == set(Verdict)
+        found = hashlib.sha256()
+        for q in queries:
+            found.update(np.array([q.r, q.theta]).tobytes())
+            found.update(q.verdict.value.encode())
+        assert found.hexdigest() == digest

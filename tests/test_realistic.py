@@ -1,6 +1,7 @@
 import hashlib
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,25 @@ class TestEstimateConversionError:
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             estimate_conversion_error([np.array([0.5])] * 50, (1.2, 0.8), 0.9, 0.05)
+
+    def test_interval_end_must_be_finite(self):
+        with pytest.raises(ValueError, match="gamma interval"):
+            estimate_conversion_error([np.array([0.5])] * 50, (0.9, math.inf), 0.9, 0.05)
+
+    def test_memory_is_flat_in_the_grid(self, monkeypatch):
+        # E recorded when each tensor's whole grid was one array, whose peak
+        # grew eightfold from 64 to 512 points; four rows a chunk keep it flat
+        tensors = list(np.random.default_rng(8).random((30, 3, 16, 16)))
+        monkeypatch.setattr(runtime, "_TALLY_CAP", 4 * tensors[0].size)
+        peaks = {}
+        for grid_points, E in {64: 0.5555546696332037, 512: 0.5589558310807705}.items():
+            tracemalloc.start()
+            try:
+                assert estimate_conversion_error(tensors, (0.8, 1.25), 0.9, 0.05, grid_points, seed=3) == E
+                peaks[grid_points] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[512] < 1.25 * peaks[64]
 
     def test_per_input_guarantee_via_repetition(self):
         # same tensor repeated: the bound then holds over factor draws alone
