@@ -99,7 +99,10 @@ def _resolve_seed(value: int | None) -> int:
     if value is not None:
         return value
     env = os.environ.get(_SEED_ENV)
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ValueError(f"{_SEED_ENV} must be an integer, got {env!r}") from None
 
 
 def _manifest(args: argparse.Namespace, seed: int | None, started: float, **resolved) -> dict:
@@ -314,12 +317,13 @@ def cmd_estimate_error(args: argparse.Namespace) -> int:
 
 
 def _parse_pa_grid(spec: str) -> list[float]:
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"--pa-grid range must be start:stop:count, got {spec!r}")
-        return [float(v) for v in np.linspace(float(parts[0]), float(parts[1]), max(int(parts[2]), 0))]
-    return [float(v) for v in spec.split(",") if v.strip()]
+    try:
+        if ":" in spec:
+            start, stop, count = spec.split(":")
+            return [float(v) for v in np.linspace(float(start), float(stop), max(int(count), 0))]
+        return [float(v) for v in spec.split(",") if v.strip()]
+    except ValueError:  # a part that is no number, or a range of other than three parts
+        raise ValueError(f"--pa-grid must be start:stop:count (integer count) or a comma list, got {spec!r}") from None
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

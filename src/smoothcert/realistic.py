@@ -21,10 +21,10 @@ import numpy as np
 from scipy.special import bdtrc, ndtri
 
 from . import runtime
-from .certify import Abstain, ProbBounds, SampleCounts, Side, certify_for, clopper_pearson
+from .certify import Abstain, ProbBounds, SampleCounts, certify_for
 from .distributions import SmoothingDistribution, rayleigh
 from .rng import SeededSampler, _split
-from .runtime import BaseClassifier, PredictionResult, _read_manifest, _tally, _top
+from .runtime import BaseClassifier, PredictionResult, _bounds, _read_manifest, _tally
 from .transforms import conversion_error, gamma_correct, validate_image
 
 __all__ = [
@@ -270,11 +270,12 @@ def certify_realistic(
     radius covers the conversion-error bound; anything less counts as a miss.
     The outer hit count gives a Clopper-Pearson bound, shifted by the budget
     total, certified by the rule of the factor law ``dist`` (Rayleigh when
-    omitted) through :func:`certify_for`, and clipped.  Any law works; pass
-    the one the budget's ``E`` was measured under.  The certification-time
-    alpha is the single confidence knob: both the inner and outer binomial
-    bounds spend it, and it must be the alpha the budget's rho was computed
-    from.
+    omitted) through :func:`certify_for`, and clipped.  The inner and the
+    outer bounds both come from the one vote-to-bounds body of
+    :mod:`smoothcert.runtime`.  Any law works; pass the one the budget's ``E``
+    was measured under.  The certification-time alpha is the single
+    confidence knob: both the inner and outer binomial bounds spend it, and it
+    must be the alpha the budget's rho was computed from.
     """
     arr = validate_image(x)
     expected_rho = error_budget(cfg.alpha, budget.q_E, budget.alpha_E)
@@ -288,14 +289,15 @@ def certify_realistic(
 
     n_eps = cfg.n_eps
 
-    def votes(count: int) -> bool:  # whether a top inner count certifies an l2 radius of at least E
-        radius = gaussian_l2_radius(clopper_pearson(SampleCounts(count, n_eps), cfg.alpha, Side.LOWER), cfg.sigma_gauss)
-        return not isinstance(radius, Abstain) and radius >= budget.E
+    def vote(tally: Counter) -> int | None:  # the top inner label if it certifies an l2 radius of at least E
+        label, _, pa_lower, _ = _bounds(tally, tally, n_eps, cfg.alpha)
+        radius = gaussian_l2_radius(pa_lower, cfg.sigma_gauss)
+        return label if not isinstance(radius, Abstain) and radius >= budget.E else None
 
     no_vote = PredictionResult(
         None, 0.0, None, SampleCounts(0, cfg.n_gamma), reason="no factor draw produced a robust inner vote"
     )
-    if not votes(n_eps):  # the radius rises with the count, so no factor draw can vote
+    if vote(Counter({0: n_eps})) is None:  # the radius rises with the count, so no factor draw can vote
         return no_vote
     law = dist or rayleigh()
     sampler = SeededSampler(cfg.seed)
@@ -318,15 +320,13 @@ def certify_realistic(
         _split(build, hi - lo, arr.size)
         return out
 
-    inner = map(_top, _tally(base, rows, cfg.n_gamma * n_eps, arr.size, n_eps))
-    robust = Counter(label for label, count in inner if votes(count))  # the outer votes
+    inner = map(vote, _tally(base, rows, cfg.n_gamma * n_eps, arr.size, n_eps))
+    robust = Counter(label for label in inner if label is not None)  # the outer votes
     if not robust:
         return no_vote
-    label, hits = _top(robust)
-    outer = SampleCounts(hits, cfg.n_gamma)
-    pa_lower = clopper_pearson(outer, cfg.alpha, Side.LOWER)
+    label, outer, pa_lower, pb_upper = _bounds(robust, robust, cfg.n_gamma, cfg.alpha)
 
-    adjusted = adjust_probabilities(pa_lower, 1.0 - pa_lower, budget.rho)
+    adjusted = adjust_probabilities(pa_lower, pb_upper, budget.rho)
     if isinstance(adjusted, Abstain):
         return PredictionResult(None, pa_lower, None, outer, reason=adjusted.reason)
     outcome = certify_for(law, adjusted)

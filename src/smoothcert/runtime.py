@@ -6,6 +6,8 @@ label from exact binomial confidence bounds, abstaining when the lower bound
 does not clear 1/2.  One vote tally labels the transformed copies in chunks
 of at most 32 MB and counts labels sparsely, so memory stays flat in the sample
 count and in the label values, and the counts are the same for any chunking.
+One vote-to-bounds body, :func:`_bounds`, turns the votes of every smoothed
+decision, plain or realistic, into its label and its bound pair.
 
 Shipped base classifiers are synthetic and analytic on purpose — the
 single-pixel threshold rule admits an exact smoothed probability, making it
@@ -315,6 +317,7 @@ class SmoothingConfig:
             raise ValueError(f"n must be >= n0 ({self.n0}), got {self.n}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        SeededSampler(self.seed)  # the one seed rule
 
 
 @dataclass(frozen=True)
@@ -369,6 +372,21 @@ def _top(tally: Counter) -> tuple[int, int]:
     return min(tally.items(), key=lambda item: (-item[1], item[0]))
 
 
+def _bounds(selection: Counter, estimation: Counter, n: int, alpha: float) -> tuple[int, SampleCounts, float, float]:
+    """The label, count and bound pair that the votes of a smoothed decision give.
+
+    The label is the top of ``selection`` (:func:`_top`); its count is taken
+    among the ``n`` draws that ``estimation`` tallies, which may be the same
+    tally.  pa_lower is that count's Clopper-Pearson lower bound at level
+    1 - alpha, and pb_upper = 1 - pa_lower is the trivial runner-up bound.
+    Each caller applies its own rule to the bounds.
+    """
+    label, _ = _top(selection)
+    counts = SampleCounts(estimation[label], n)
+    pa_lower = clopper_pearson(counts, alpha, Side.LOWER)
+    return label, counts, pa_lower, 1.0 - pa_lower
+
+
 def _factor_tally(base, arr, dist, sampler, n, transform) -> Counter:
     """Label counts of ``transform(arr, factors)`` over n draws of ``dist`` from ``sampler``: one :func:`_tally` group."""
     return _tally(base, lambda lo, hi: transform(arr, dist.sample(sampler, hi - lo, lo)), n, arr.size, n)[0]
@@ -390,14 +408,12 @@ def smoothed_predict_certify(
     """
     arr = validate_image(x)
     sampler = SeededSampler(cfg.seed)
-    candidate, _ = _top(_factor_tally(base, arr, cfg.dist, sampler.stream(_SELECTION_STREAM), cfg.n0, transform))
+    selection = _factor_tally(base, arr, cfg.dist, sampler.stream(_SELECTION_STREAM), cfg.n0, transform)
     estimation = _factor_tally(base, arr, cfg.dist, sampler.stream(_ESTIMATION_STREAM), cfg.n, transform)
-    counts = SampleCounts(estimation[candidate], cfg.n)
-
-    pa_lower = clopper_pearson(counts, cfg.alpha, Side.LOWER)
+    candidate, counts, pa_lower, pb_upper = _bounds(selection, estimation, cfg.n, cfg.alpha)
     if pa_lower <= 0.5:
         return PredictionResult(None, pa_lower, None, counts, reason=f"pa_lower={pa_lower} <= 1/2")
-    outcome = certify_for(cfg.dist, ProbBounds.with_trivial_pb(pa_lower, 1.0 - cfg.alpha))
+    outcome = certify_for(cfg.dist, ProbBounds(pa_lower, pb_upper, 1.0 - cfg.alpha))
     if isinstance(outcome, Abstain):
         return PredictionResult(None, pa_lower, None, counts, reason=outcome.reason)
     return PredictionResult(candidate, pa_lower, outcome, counts)
@@ -420,8 +436,8 @@ class SmoothedClassifier:
         """Modal label of query ``index`` under ``cfg.n`` draws, or None when not confidently above 1/2."""
         arr = np.asarray(x, dtype=float)
         sampler = SeededSampler(self.cfg.seed, _PREDICT_STREAM_BASE + index)
-        candidate, count = _top(_factor_tally(self.base, arr, self.cfg.dist, sampler, self.cfg.n, gamma_correct_batch))
-        pa_lower = clopper_pearson(SampleCounts(count, self.cfg.n), self.cfg.alpha, Side.LOWER)
+        tally = _factor_tally(self.base, arr, self.cfg.dist, sampler, self.cfg.n, gamma_correct_batch)
+        candidate, _, pa_lower, _ = _bounds(tally, tally, self.cfg.n, self.cfg.alpha)
         return candidate if pa_lower > 0.5 else None
 
 

@@ -296,6 +296,20 @@ class TestSmooth:
         )
         assert json.loads(out)["manifest"]["seed"] == 123
 
+    @pytest.mark.parametrize("value", ["abc", "1.5"])
+    def test_non_integer_env_seed_names_the_variable(self, capsys, oracle_workspace, monkeypatch, value):
+        monkeypatch.setenv("SMOOTHCERT_SEED", value)
+        code, out, err = run(
+            capsys,
+            [
+                "smooth",
+                "--input", str(oracle_workspace / "x.mst1"),
+                "--classifier", str(oracle_workspace / "oracle.json"),
+                "--n", "1000", "--alpha", "0.01",
+            ],
+        )
+        TestRealisticCommand._assert_one_error_line(code, out, err, "SMOOTHCERT_SEED", repr(value))
+
 
 class TestRealisticCommand:
     @pytest.fixture
@@ -621,6 +635,11 @@ class TestCompare:
         assert code == EXIT_ERROR
         assert out == ""
         assert "at least one" in err
+
+    @pytest.mark.parametrize("spec", ["0.6:0.9:2.5", "0.6:0.9:inf", "0.6,abc"])
+    def test_malformed_grid_names_the_flag_and_its_form(self, capsys, spec):
+        code, out, err = run(capsys, ["compare", "--pa-grid", spec])
+        TestRealisticCommand._assert_one_error_line(code, out, err, "--pa-grid", "start:stop:count", repr(spec))
 
     def test_bad_distribution_exits_one(self, capsys):
         code, _, err = run(capsys, ["compare", "--dists", "cauchy"])

@@ -308,12 +308,13 @@ def test_realistic_result_does_not_depend_on_the_chunking(monkeypatch, tmp_path,
     reference = certify_realistic(base, x, cfg, budget)
     assert reference.counts.successes > 0  # some inner votes are robust
     bright = BrightnessLabels(388)
-    tops = []
+    tops, top = [], runtime._top
     with monkeypatch.context() as patched:
-        patched.setattr(realistic, "_top", lambda tally: tops.append(dict(tally)) or runtime._top(tally))
+        patched.setattr(runtime, "_top", lambda tally: tops.append(dict(tally)) or top(tally))
         bright_reference = certify_realistic(bright, x, cfg, budget)
+    assert tops[0] == {0: cfg.n_eps}  # the no-vote check
     if sigma == 1.0:  # label 0 shows in inner tallies, and the outer votes tie
-        assert any(0 in tally for tally in tops[: cfg.n_gamma])
+        assert any(0 in tally for tally in tops[1 : cfg.n_gamma + 1])
         assert tops[-1] == {2**40: 5, 2**62 - 1: 5} and bright_reference.counts.successes == 5
     # caps that cut factor draws mid-way, or leave the core count to decide
     n_eps = cfg.n_eps

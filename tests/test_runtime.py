@@ -130,6 +130,11 @@ class TestSmoothedPredictCertify:
         with pytest.raises(ValueError):
             SmoothingConfig(n=1000, alpha=0.01, n0=5)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_config_checks_its_seed_when_built(self, seed):
+        with pytest.raises(ValueError, match="64-bit unsigned"):
+            SmoothingConfig(n=1000, alpha=0.01, seed=seed)
+
     def test_inverse_rayleigh_smoothing_gets_reciprocal_certificate(self):
         from smoothcert import Method, exact_oracle_probability, inverse_rayleigh
 
@@ -392,6 +397,11 @@ class TestTally:
             seen = np.flatnonzero(row)
             assert tally == dict(zip(seen.tolist(), row[seen].tolist()))
             assert runtime._top(tally) == (int(np.argmax(row)), int(row.max()))
+        # the vote-to-bounds body: select on the first group, estimate on the last
+        label, last = int(np.argmax(dense[0])), n - group * (len(dense) - 1)
+        counts = SampleCounts(int(dense[-1][label]), last)
+        pa_lower = clopper_pearson(counts, 0.01, Side.LOWER)
+        assert runtime._bounds(sparse[0], sparse[-1], last, 0.01) == (label, counts, pa_lower, 1.0 - pa_lower)
 
     @pytest.mark.parametrize("table", [[-1, 0, 1], [0.0, 1.0], [1.5]], ids=["negative", "float", "fraction"])
     def test_labels_other_than_nonnegative_integers_are_rejected(self, table):
