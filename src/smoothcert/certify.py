@@ -119,9 +119,6 @@ class Certificate:
     def unbounded(self) -> bool:
         return math.isinf(self.gamma2)
 
-    def contains(self, gamma: float) -> bool:
-        return self.gamma1 < gamma < self.gamma2
-
     def clipped(self, lo: float, hi: float) -> "Certificate":
         """Intersection with [lo, hi]; the result must still straddle 1."""
         g1, g2 = max(self.gamma1, lo), min(self.gamma2, hi)

@@ -320,9 +320,12 @@ def _parse_pa_grid(spec: str) -> list[float]:
     try:
         if ":" in spec:
             start, stop, count = spec.split(":")
-            return [float(v) for v in np.linspace(float(start), float(stop), max(int(count), 0))]
+            ends = float(start), float(stop)
+            if not all(map(math.isfinite, ends)):
+                raise ValueError  # before np.linspace, which warns on a non-finite end
+            return [float(v) for v in np.linspace(*ends, max(int(count), 0))]
         return [float(v) for v in spec.split(",") if v.strip()]
-    except ValueError:  # a part that is no number, or a range of other than three parts
+    except ValueError:  # a part that is no number or no finite range end, or a range of other than three parts
         raise ValueError(f"--pa-grid must be start:stop:count (integer count) or a comma list, got {spec!r}") from None
 
 

@@ -8,7 +8,9 @@ closed form for mixed-sign weights, so probabilities are estimated by
 Monte-Carlo with common random numbers: a query weights one set of draws
 to solve its two thresholds and a fresh set for its verdict, and each
 probability carries a 99% interval; queries whose intervals overlap are
-reported as unknown rather than resolved optimistically.
+reported as unknown rather than resolved optimistically.  A query reads only
+the two streams its ``stream_base`` names, so a caller scanning several factor
+vectors gives each its own base and gets verdicts independent of the order.
 
 With the draws fixed, each empirical tail probability is a step function of
 the threshold, so both thresholds are exact order statistics of the sampled
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import bisect
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,7 +37,6 @@ __all__ = [
     "RegionQuery",
     "solve_thresholds",
     "in_robust_region",
-    "scan_gamma_grid",
 ]
 
 _Z99 = float(ndtri(0.995))
@@ -61,8 +61,8 @@ class MultiCertProblem:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"factor count must be >= 1, got {self.n}")
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
+            raise ValueError(f"sigma must be a positive finite real, got {self.sigma}")
         if not 0.0 < self.pa_lower < 1.0:
             raise ValueError(f"pa_lower must lie in (0, 1), got {self.pa_lower}")
         if not 0.0 < self.pb_upper < 1.0:
@@ -93,7 +93,7 @@ def _sorted_gamma(gamma: Sequence[float], n: int) -> np.ndarray:
     g = np.asarray(gamma, dtype=float)
     if g.shape != (n,):
         raise ValueError(f"gamma must be a vector of {n} entries, got shape {g.shape}")
-    if np.any(g <= 0.0):
+    if not np.all(g > 0.0):
         raise ValueError("gamma entries must be positive")
     # Canonical descending order makes queries permutation-symmetric: the
     # same exponential draw always meets the same-ranked coefficient.
@@ -197,16 +197,3 @@ def in_robust_region(
         verdict = Verdict.UNKNOWN
     return RegionQuery(tuple(np.asarray(gamma, dtype=float)), r, theta, verdict)
 
-
-def scan_gamma_grid(problem: MultiCertProblem, axes: Sequence[Sequence[float]]) -> list[RegionQuery]:
-    """Membership over the cartesian product of per-factor grids.
-
-    Points get derived stream indices, so results do not depend on evaluation
-    order and a parallel driver would produce the same verdicts.
-    """
-    if len(axes) != problem.n:
-        raise ValueError(f"expected {problem.n} axes, got {len(axes)}")
-    queries = []
-    for index, point in enumerate(itertools.product(*axes)):
-        queries.append(in_robust_region(problem, point, stream_base=2 * (index + 1)))
-    return queries

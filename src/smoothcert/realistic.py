@@ -167,11 +167,19 @@ def gaussian_l2_radius(pa_lower: float, sigma_gauss: float) -> float | Abstain:
 def min_samples_for_quantile_bound(q: float, alpha: float) -> int:
     """Smallest sample count for which an order statistic can bound the q-quantile.
 
-    Needs q**m <= alpha, i.e. m >= ln(alpha) / ln(q).
+    Needs P(Bin(m, q) >= m) = q**m <= alpha, i.e. m >= ln(alpha) / ln(q).  The
+    count steps from that float estimate to the least m whose tail as
+    :func:`quantile_upper_confidence` reads it, ``bdtrc(m - 1, m, q)``, is at
+    most alpha, so the largest sample always qualifies at the returned count.
     """
     if not 0.0 < q < 1.0 or not 0.0 < alpha < 1.0:
         raise ValueError("q and alpha must lie in (0, 1)")
-    return int(math.ceil(math.log(alpha) / math.log(q)))
+    m = max(1, math.ceil(math.log(alpha) / math.log(q)))
+    while bdtrc(m - 1, m, q) > alpha:
+        m += 1
+    while m > 1 and bdtrc(m - 2, m - 1, q) <= alpha:
+        m -= 1
+    return m
 
 
 def quantile_upper_confidence(samples: Sequence[float], q: float, alpha: float) -> float:
@@ -242,8 +250,8 @@ def estimate_conversion_error(
     return quantile_upper_confidence(maxima, q_E, alpha_E)
 
 
-def _noisy_rows(sampler: SeededSampler, start: int, sigma: float, out: np.ndarray, image=None) -> None:
-    """Writes draws ``start..`` of N(0, sigma^2) noise, plus ``image`` if given, into the rows of ``out``.
+def _noisy_rows(sampler: SeededSampler, start: int, sigma: float, out: np.ndarray, image: np.ndarray) -> None:
+    """Writes ``image`` plus draws ``start..`` of N(0, sigma^2) noise into the rows of ``out``.
 
     Runs on the calling thread: it is the per-core kernel of the realistic
     inner rows.  ``out`` must be contiguous, one draw per leading index.
@@ -252,8 +260,7 @@ def _noisy_rows(sampler: SeededSampler, start: int, sigma: float, out: np.ndarra
     sampler._fill(flat, start * math.prod(out.shape[1:]))
     ndtri(flat, out=flat)
     flat *= sigma
-    if image is not None:
-        np.add(out, image, out=out)
+    np.add(out, image, out=out)
 
 
 def certify_realistic(

