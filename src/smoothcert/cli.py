@@ -1,9 +1,12 @@
 """Command-line surface: certification workflows with machine-readable output.
 
-Every command records its parsed flags (with the values it resolves from
-them), its seed and the tool version in a run manifest.  JSON reports embed
-the manifest next to the result payload; CSV outputs written to a file get a
-sidecar ``<file>.manifest.json``.
+Each command returns its result and exit code, with the seed it ran under and
+the values it resolved from its flags; ``main`` times the run, records the
+parsed flags with those values, the seed and the tool version in one run
+manifest, and writes the output once.  A JSON result goes to ``--out`` or
+stdout as ``{"manifest", "result"}``; CSV rows go to ``--out``, beside a
+sidecar ``<file>.manifest.json``, or to stdout; ``cert`` without ``--json``
+prints plain text.
 Result payloads are byte-identical across reruns with an equal manifest
 (wall-clock duration lives in the manifest, never in the payload).
 
@@ -77,6 +80,9 @@ TABLE_BOUND_PAIRS = [
     (0.999, 0.001),
 ]
 
+# A command's result (JSON payload, CSV rows or plain text), exit code, seed and resolved flag values.
+_Run = tuple[dict | list[list] | str, int, int | None, dict]
+
 # Each law's factory, and what it takes for a --scale value.
 _DIST_FACTORIES = {
     "rayleigh": (rayleigh, RayleighParams),
@@ -143,26 +149,6 @@ def _prediction_json(result: PredictionResult) -> dict:
     }
 
 
-def _emit_json(report: dict, out: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_csv(header: list[str], rows: list[list], out: str | None, manifest: dict) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    if out:
-        Path(out).write_text(buffer.getvalue())
-        Path(f"{out}.manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    else:
-        sys.stdout.write(buffer.getvalue())
-
-
 def _interval_cells(cert: Certificate) -> list[str]:
     """CSV cells gamma1 and gamma2 to two decimals, then both in full (an unbounded end reads ``inf``)."""
     return [f"{cert.gamma1:.2f}", f"{cert.gamma2:.2f}", repr(cert.gamma1), repr(cert.gamma2)]
@@ -177,25 +163,19 @@ def _smoothing_distribution(name: str, scale: float | None) -> SmoothingDistribu
 # --- table ------------------------------------------------------------------
 
 
-def cmd_table(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    rows = []
+def cmd_table(args: argparse.Namespace) -> _Run:
+    rows = [["pa", "pb", "gamma1", "gamma2", "gamma1_full", "gamma2_full"]]
     for pa, pb in TABLE_BOUND_PAIRS:
         cert = certify_rayleigh(ProbBounds(pa, pb))
         assert isinstance(cert, Certificate)
         rows.append([f"{pa:.3f}", f"{pb:.3f}", *_interval_cells(cert)])
-    manifest = _manifest(args, None, started)
-    _emit_csv(
-        ["pa", "pb", "gamma1", "gamma2", "gamma1_full", "gamma2_full"], rows, args.out, manifest
-    )
-    return EXIT_OK
+    return rows, EXIT_OK, None, {}
 
 
 # --- cert -------------------------------------------------------------------
 
 
-def cmd_cert(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_cert(args: argparse.Namespace) -> _Run:
     if not 0.0 < args.pa < 1.0:
         raise ValueError(f"--pa must lie in (0, 1), got {args.pa}")
     pb = 1.0 - args.pa if args.trivial_pb else args.pb
@@ -204,30 +184,26 @@ def cmd_cert(args: argparse.Namespace) -> int:
 
     outcome = certify_for(_smoothing_distribution(args.dist, args.scale), ProbBounds(args.pa, pb))
 
-    manifest = _manifest(args, None, started, pb=pb)
     if isinstance(outcome, Abstain):
-        if args.json:
-            _emit_json({"manifest": manifest, "result": {"abstain": True, "reason": outcome.reason}}, None)
-        else:
-            print(f"abstain: {outcome.reason}")
-        return EXIT_ABSTAIN
+        result = {"abstain": True, "reason": outcome.reason} if args.json else f"abstain: {outcome.reason}\n"
+        return result, EXIT_ABSTAIN, None, {"pb": pb}
     if args.json:
-        _emit_json({"manifest": manifest, "result": {"abstain": False, "certificate": _certificate_json(outcome)}}, None)
-    else:
-        gamma2 = "inf" if outcome.unbounded else f"{outcome.gamma2:.4f}"
-        print(f"gamma1 {outcome.gamma1:.4f}")
-        print(f"gamma2 {gamma2}")
-        print(f"method {outcome.method.value}")
-        print(f"distribution {outcome.distribution}")
-        print(f"confidence {outcome.confidence:g}")
-    return EXIT_OK
+        return {"abstain": False, "certificate": _certificate_json(outcome)}, EXIT_OK, None, {"pb": pb}
+    gamma2 = "inf" if outcome.unbounded else f"{outcome.gamma2:.4f}"
+    text = (
+        f"gamma1 {outcome.gamma1:.4f}\n"
+        f"gamma2 {gamma2}\n"
+        f"method {outcome.method.value}\n"
+        f"distribution {outcome.distribution}\n"
+        f"confidence {outcome.confidence:g}\n"
+    )
+    return text, EXIT_OK, None, {"pb": pb}
 
 
 # --- smooth -----------------------------------------------------------------
 
 
-def cmd_smooth(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_smooth(args: argparse.Namespace) -> _Run:
     seed = _resolve_seed(args.seed)
     x = read_tensor(args.input)
     base = load_classifier(args.classifier)
@@ -249,17 +225,13 @@ def cmd_smooth(args: argparse.Namespace) -> int:
             if interval is None
             else {"empty": False, "left": interval[0], "right": interval[1]}
         )
-
-    manifest = _manifest(args, seed, started)
-    _emit_json({"manifest": manifest, "result": payload}, args.out)
-    return EXIT_ABSTAIN if result.abstained else EXIT_OK
+    return payload, EXIT_ABSTAIN if result.abstained else EXIT_OK, seed, {}
 
 
 # --- realistic --------------------------------------------------------------
 
 
-def cmd_realistic(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_realistic(args: argparse.Namespace) -> _Run:
     budget = ErrorBudget.load(args.budget)
     cfg = RealisticConfig.load(args.config)
     x = read_tensor(args.input)
@@ -273,16 +245,13 @@ def cmd_realistic(args: argparse.Namespace) -> int:
         **_prediction_json(result),
         "budget": budget.to_json(),
     }
-    manifest = _manifest(args, cfg.seed, started, config=cfg.to_json())
-    _emit_json({"manifest": manifest, "result": payload}, args.out)
-    return EXIT_ABSTAIN if result.abstained else EXIT_OK
+    return payload, EXIT_ABSTAIN if result.abstained else EXIT_OK, cfg.seed, {"config": cfg.to_json()}
 
 
 # --- estimate-error ---------------------------------------------------------
 
 
-def cmd_estimate_error(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_estimate_error(args: argparse.Namespace) -> _Run:
     seed = _resolve_seed(args.seed)
     dataset_dir = Path(args.dataset)
     if not dataset_dir.is_dir():
@@ -308,9 +277,7 @@ def cmd_estimate_error(args: argparse.Namespace) -> int:
         "grid_points": args.grid,
         "num_tensors": len(tensors),
     }
-    manifest = _manifest(args, seed, started)
-    _emit_json({"manifest": manifest, "result": payload}, args.out)
-    return EXIT_OK
+    return payload, EXIT_OK, seed, {}
 
 
 # --- compare ----------------------------------------------------------------
@@ -329,7 +296,7 @@ def _parse_pa_grid(spec: str) -> list[float]:
         raise ValueError(f"--pa-grid must be start:stop:count (integer count) or a comma list, got {spec!r}") from None
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> _Run:
     """Per-distribution certified intervals over a pa grid (trivial runner-up).
 
     Besides the requested laws at the given scale, emits a
@@ -337,7 +304,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     coincides with the direct multiplicative certificate; the left endpoints
     then compare the small-factor strength at equal large-factor strength.
     """
-    started = time.perf_counter()
     dists = [d.strip() for d in args.dists.split(",") if d.strip()]
     unknown = [d for d in dists if d not in _DIST_FACTORIES]
     if unknown:
@@ -346,7 +312,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not (dists and pa_grid):
         raise ValueError("--dists and --pa-grid must each name at least one value")
 
-    rows = []
+    rows = [["pa", "distribution", "scale", "gamma1", "gamma2", "gamma1_full", "gamma2_full"]]
     for pa in pa_grid:
         if not 0.0 < pa < 1.0:
             raise ValueError(f"pa grid values must lie in (0, 1), got {pa}")
@@ -365,14 +331,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             matched_scale = math.log(rayleigh_cert.gamma2) / float(ndtri(pa))
             outcome = certify_for(log_gaussian(matched_scale), ProbBounds(pa, pb))
             rows.append(_compare_row(pa, "log-gaussian-matched", matched_scale, outcome))
-
-    _emit_csv(
-        ["pa", "distribution", "scale", "gamma1", "gamma2", "gamma1_full", "gamma2_full"],
-        rows,
-        args.out,
-        _manifest(args, None, started),
-    )
-    return EXIT_OK
+    return rows, EXIT_OK, None, {}
 
 
 def _compare_row(pa: float, name: str, scale: float, outcome) -> list:
@@ -453,16 +412,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
         scale = getattr(args, "scale", None)  # cert, smooth and compare take --scale
         if scale is not None and not (scale > 0.0 and math.isfinite(scale)):
             raise ValueError(f"--scale must be a positive finite real, got {scale}")
-        return args.func(args)
+        result, code, seed, resolved = args.func(args)
+        manifest = _manifest(args, seed, started, **resolved)
+        text = result  # plain text goes out as it is
+        if isinstance(result, list):
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerows(result)
+            text = buffer.getvalue()
+        elif isinstance(result, dict):
+            text = json.dumps({"manifest": manifest, "result": result}, sort_keys=True, indent=2) + "\n"
+        out = getattr(args, "out", None)  # cert takes no --out
+        if not out:
+            sys.stdout.write(text)
+        else:
+            Path(out).write_text(text)
+            if isinstance(result, list):  # a CSV file's manifest goes beside it
+                Path(f"{out}.manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     except (ValueError, OSError) as exc:
         print(f"smoothcert: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    return code
 
 
 if __name__ == "__main__":

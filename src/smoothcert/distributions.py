@@ -89,15 +89,17 @@ class SmoothingDistribution:
     def cdf(self, z):
         """P(Z <= z); 0 below the support, approaching 1 at +inf."""
         z_arr = np.asarray(z, dtype=float)
+        with np.errstate(over="ignore"):  # a sigma above about 1.34e154 gives inf, and so the limits 0 and 1
+            two_sigma2 = 2.0 * np.float64(self.scale) ** 2
         if self.kind is Kind.RAYLEIGH:
             zpos = np.maximum(z_arr, 0.0)
-            out = np.where(z_arr < 0.0, 0.0, -np.expm1(-(zpos * zpos) / (2.0 * self.scale**2)))
+            out = np.where(z_arr < 0.0, 0.0, -np.expm1(-(zpos * zpos) / two_sigma2))
         elif self.kind is Kind.INVERSE_RAYLEIGH:
             with np.errstate(divide="ignore"):
                 out = np.where(
                     z_arr <= 0.0,
                     0.0,
-                    np.exp(-1.0 / (2.0 * self.scale**2 * np.maximum(z_arr, 1e-300) ** 2)),
+                    np.exp(-1.0 / (two_sigma2 * np.maximum(z_arr, 1e-300) ** 2)),
                 )
         else:
             zsafe = np.maximum(z_arr, 1e-300)

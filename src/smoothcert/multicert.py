@@ -6,11 +6,13 @@ factors (each square is exponentially distributed) stays below one threshold
 more often than it exceeds another.  The weighted-sum law has no convenient
 closed form for mixed-sign weights, so probabilities are estimated by
 Monte-Carlo with common random numbers: a query weights one set of draws
-to solve its two thresholds and a fresh set for its verdict, and each
-probability carries a 99% interval; queries whose intervals overlap are
-reported as unknown rather than resolved optimistically.  A query reads only
-the two streams its ``stream_base`` names, so a caller scanning several factor
-vectors gives each its own base and gets verdicts independent of the order.
+to solve its two thresholds and a fresh set for its verdict, and each tail
+probability carries a 99% normal interval; queries whose intervals overlap
+are reported as unknown.  The verdict itself has no stated confidence: near
+the region's boundary a decided verdict can contradict the exact sign, in
+either direction.  A query reads only the two streams its ``stream_base``
+names, so a caller scanning several factor vectors gives each its own base
+and gets verdicts independent of the order.
 
 With the draws fixed, each empirical tail probability is a step function of
 the threshold, so both thresholds are exact order statistics of the sampled
@@ -71,6 +73,7 @@ class MultiCertProblem:
             raise ValueError("pa_lower must exceed pb_upper")
         if self.mc_samples < _MIN_MC_SAMPLES:
             raise ValueError(f"mc_samples must be >= {_MIN_MC_SAMPLES}, got {self.mc_samples}")
+        SeededSampler(self.seed)  # the one seed rule
 
 
 class Verdict(enum.Enum):

@@ -10,6 +10,7 @@ loaders.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -157,7 +158,7 @@ def read_tensor(path) -> np.ndarray:
     dims = struct.unpack_from(f"<{ndim}I", data, 8)
     if any(d == 0 for d in dims):
         raise TruncatedPayloadError(f"{path}: zero-sized dimension in {dims}")
-    count = int(np.prod(dims, dtype=np.int64))
+    count = math.prod(dims)  # Python integers: a fixed-width product can wrap to a small count
     expected = header_end + 8 * count
     if len(data) != expected:
         raise TruncatedPayloadError(

@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import typing
@@ -608,6 +609,36 @@ def test_manifest_config_keys_are_the_parser_destinations(capsys, oracle_workspa
             manifest = json.loads(out)["manifest"]
         dests = {action.dest for action in parser._actions} - {"help", "seed", "out", "json"}
         assert set(manifest["config"]) == dests, name
+
+
+@pytest.mark.parametrize("command", ["smooth", "realistic", "estimate-error"])
+def test_json_report_to_a_file_is_the_stdout_report(capsys, oracle_workspace, command):
+    """``--out`` moves the JSON report from stdout to the file; only the wall-clock duration differs."""
+    ws = oracle_workspace
+    budget = ErrorBudget.for_alpha(E=0.0, q_E=0.9, alpha_E=0.01, alpha=0.001, gamma_interval=(0.71, 1.33))
+    (ws / "budget.json").write_text(json.dumps(budget.to_json()))
+    cfg = RealisticConfig(n_eps=20, n_gamma=20, sigma_gauss=0.05, alpha=0.001, seed=3)
+    (ws / "config.json").write_text(json.dumps(cfg.to_json()))
+    (ws / "data").mkdir()
+    for i in range(4):  # q_E = 0.5 at alpha_E = 0.1 needs 4 tensors
+        write_tensor(np.full(3, 0.2 * (i + 1)), ws / "data" / f"t{i}.mst1")
+    smooth = ["--input", str(ws / "x.mst1"), "--classifier", str(ws / "oracle.json")]
+    argv = {
+        "smooth": ["smooth", *smooth, "--n", "200", "--alpha", "0.01", "--seed", "4"],
+        "realistic": ["realistic", *smooth, "--budget", str(ws / "budget.json"), "--config", str(ws / "config.json")],
+        "estimate-error": [
+            "estimate-error", "--dataset", str(ws / "data"), "--gamma-min", "0.8", "--gamma-max", "1.25",
+            "--qe", "0.5", "--alphae", "0.1", "--grid", "4",
+        ],
+    }[command]
+    code, printed, _ = run(capsys, argv)
+    file_code, file_out, _ = run(capsys, [*argv, "--out", str(ws / "report.json")])
+    assert (file_code, file_out) == (code, "")
+
+    def timeless(text: str) -> str:
+        return re.sub(r'"duration_s": [^,\n]+', '"duration_s": 0', text)
+
+    assert timeless((ws / "report.json").read_text()) == timeless(printed)
 
 
 class TestCompare:

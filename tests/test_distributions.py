@@ -207,3 +207,12 @@ def test_quantile_cdf_roundtrip_all_kinds(name, p):
         "log_uniform": log_uniform(0.8),
     }[name]
     assert abs(dist.cdf(dist.quantile(p)) - p) < 1e-9
+
+
+@pytest.mark.parametrize("sigma", [1.35e154, 1e200, 1e308])
+@pytest.mark.parametrize("factory, limit", [(rayleigh, 0.0), (inverse_rayleigh, 1.0)], ids=["rayleigh", "inverse"])
+def test_cdf_takes_its_limit_where_sigma_squared_overflows(factory, limit, sigma):
+    # 2 sigma**2 is inf, so P(Z <= 1) is 0 for Rayleigh and 1 for the inverse law
+    dist = factory(RayleighParams(sigma))
+    assert dist.cdf(1.0) == limit
+    assert dist.cdf(np.array([0.5, 2.0])).tolist() == [limit, limit]

@@ -227,6 +227,11 @@ class TestInRobustRegion:
         with pytest.raises(ValueError, match="finite"):
             MultiCertProblem(n=2, sigma=math.inf, pa_lower=0.9, pb_upper=0.1, mc_samples=20_000, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_problem_checks_its_seed_when_built(self, seed):
+        with pytest.raises(ValueError, match="64-bit unsigned"):
+            MultiCertProblem(n=2, sigma=0.8, pa_lower=0.9, pb_upper=0.05, mc_samples=10_000, seed=seed)
+
     def test_identity_always_inside(self):
         query = in_robust_region(make_problem(n=3, pa=0.55, pb=0.45), [1.0, 1.0, 1.0])
         assert query.verdict is Verdict.INSIDE

@@ -181,6 +181,13 @@ class TestTensorFormat:
         with pytest.raises(TruncatedPayloadError):
             read_tensor(path)
 
+    def test_header_whose_element_count_overflows_64_bits(self, tmp_path):
+        # 65536**4 = 2**64 entries: a 64-bit product wraps to 0, which the header-only file matches
+        path = tmp_path / "huge.mst1"
+        path.write_bytes(b"MST1" + struct.pack("<5I", 4, 65536, 65536, 65536, 65536))
+        with pytest.raises(TruncatedPayloadError, match="huge.mst1: payload is 0 bytes"):
+            read_tensor(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "long.mst1"
         write_tensor(np.array([0.1]), path)
