@@ -87,42 +87,32 @@ class SmoothingDistribution:
         return f"{self.kind.value}(sigma={self.scale:g})"
 
     def cdf(self, z):
-        """P(Z <= z); 0 below the support, approaching 1 at +inf."""
-        z_arr = np.asarray(z, dtype=float)
-        with np.errstate(over="ignore"):  # a sigma above about 1.34e154 gives inf, and so the limits 0 and 1
-            two_sigma2 = 2.0 * np.float64(self.scale) ** 2
-        if self.kind is Kind.RAYLEIGH:
-            zpos = np.maximum(z_arr, 0.0)
-            out = np.where(z_arr < 0.0, 0.0, -np.expm1(-(zpos * zpos) / two_sigma2))
-        elif self.kind is Kind.INVERSE_RAYLEIGH:
-            with np.errstate(divide="ignore"):
-                out = np.where(
-                    z_arr <= 0.0,
-                    0.0,
-                    np.exp(-1.0 / (two_sigma2 * np.maximum(z_arr, 1e-300) ** 2)),
-                )
-        else:
-            zsafe = np.maximum(z_arr, 1e-300)
-            out = np.where(z_arr <= 0.0, 0.0, self._additive_cdf(np.log(zsafe)))
+        """P(Z <= z) for every z, at any scale: 0 below the support, 1 at +inf."""
+        z_arr = np.maximum(np.asarray(z, dtype=float), 0.0)
+        # at z = 0, 1/0 = inf and log(0) = -inf, and overflow gives inf: the arithmetic takes each limit
+        with np.errstate(divide="ignore", over="ignore"):
+            if self.kind is Kind.RAYLEIGH:
+                out = -np.expm1(-0.5 * np.square(z_arr / self.scale))
+            elif self.kind is Kind.INVERSE_RAYLEIGH:
+                out = np.exp(-0.5 * np.square(1.0 / (self.scale * z_arr)))
+            else:
+                out = self._additive_cdf(np.log(z_arr))
         return float(out) if np.isscalar(z) else out
 
     def quantile(self, p):
         """Inverse CDF on [0, 1); exact inverse of :meth:`cdf` on the support interior."""
         p_arr = np.asarray(p, dtype=float)
-        if np.any((p_arr < 0.0) | (p_arr >= 1.0)):
+        if not np.all((p_arr >= 0.0) & (p_arr < 1.0)):
             raise ValueError("quantile requires 0 <= p < 1")
-        if self.kind is Kind.RAYLEIGH:
-            out = self.scale * np.sqrt(-2.0 * np.log1p(-p_arr))
-        elif self.kind is Kind.INVERSE_RAYLEIGH:
-            with np.errstate(divide="ignore"):
-                out = np.where(
-                    p_arr == 0.0,
-                    0.0,
-                    1.0 / (self.scale * np.sqrt(-2.0 * np.log(np.maximum(p_arr, 1e-300)))),
-                )
-        else:
-            # np.power, not np.exp: the two differ in the last bit, which would move every draw
-            out = np.power(math.e, self._additive_quantile(p_arr))
+        # log(0) = -inf carries p = 0 to the lower end of the support, and overflow is inf
+        with np.errstate(divide="ignore", over="ignore"):
+            if self.kind is Kind.RAYLEIGH:
+                out = self.scale * np.sqrt(-2.0 * np.log1p(-p_arr))
+            elif self.kind is Kind.INVERSE_RAYLEIGH:
+                out = 1.0 / (self.scale * np.sqrt(-2.0 * np.log(p_arr)))
+            else:
+                # np.power, not np.exp: the two differ in the last bit, which would move every draw
+                out = np.power(math.e, self._additive_quantile(p_arr))
         return float(out) if np.isscalar(p) else out
 
     def sample(self, sampler: SeededSampler, count: int, start: int = 0) -> np.ndarray:
@@ -148,15 +138,9 @@ class SmoothingDistribution:
     def _additive_quantile(self, p: np.ndarray) -> np.ndarray:
         s = self.scale
         if self.kind is Kind.LOG_GAUSSIAN:
-            with np.errstate(divide="ignore"):
-                return np.where(p == 0.0, -np.inf, s * ndtri(np.maximum(p, 1e-300)))
+            return s * ndtri(p)
         if self.kind is Kind.LOG_LAPLACE:
-            with np.errstate(divide="ignore"):
-                return np.where(
-                    p < 0.5,
-                    s * np.log(np.maximum(2.0 * p, 1e-300)),
-                    -s * np.log1p(-np.minimum(2.0 * p - 1.0, 1.0 - 1e-16)),
-                )
+            return np.where(p < 0.5, s * np.log(2.0 * p), -s * np.log1p(1.0 - 2.0 * p))
         return s * (2.0 * p - 1.0)
 
 

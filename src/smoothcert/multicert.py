@@ -31,6 +31,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtri
 
+from .distributions import RayleighParams
 from .rng import SeededSampler, _split
 
 __all__ = [
@@ -63,8 +64,7 @@ class MultiCertProblem:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"factor count must be >= 1, got {self.n}")
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ValueError(f"sigma must be a positive finite real, got {self.sigma}")
+        RayleighParams(self.sigma)  # the one sigma rule
         if not 0.0 < self.pa_lower < 1.0:
             raise ValueError(f"pa_lower must lie in (0, 1), got {self.pa_lower}")
         if not 0.0 < self.pb_upper < 1.0:

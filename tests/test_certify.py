@@ -364,6 +364,11 @@ class TestClosedForm:
             solved = certify_rayleigh(ProbBounds.with_trivial_pb(pa))
             assert abs(closed.gamma1 - solved.gamma1) < 1e-9
             assert abs(closed.gamma2 - solved.gamma2) < 1e-9
+            # the closed form itself, apart from the solver: each endpoint lies inward of it
+            gamma1 = math.sqrt(math.log(pa) / math.log(0.5))
+            gamma2 = math.sqrt(math.log(1.0 - pa) / math.log(0.5))
+            assert gamma1 <= closed.gamma1 < gamma1 + 1e-9
+            assert gamma2 - 1e-9 < closed.gamma2 <= gamma2
 
 
 class TestSigmaInvariance:

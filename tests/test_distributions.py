@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ class TestRayleighCdfQuantile:
         assert RAYLEIGH.quantile(0.0) == 0.0
         assert abs(RAYLEIGH.quantile(0.9375) - 2.0) < 1e-12
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5])
+    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, math.nan])
     def test_quantile_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
             RAYLEIGH.quantile(bad)
@@ -214,5 +215,70 @@ def test_quantile_cdf_roundtrip_all_kinds(name, p):
 def test_cdf_takes_its_limit_where_sigma_squared_overflows(factory, limit, sigma):
     # 2 sigma**2 is inf, so P(Z <= 1) is 0 for Rayleigh and 1 for the inverse law
     dist = factory(RayleighParams(sigma))
-    assert dist.cdf(1.0) == limit
-    assert dist.cdf(np.array([0.5, 2.0])).tolist() == [limit, limit]
+    expected = [limit, limit, limit]
+    if factory is rayleigh and sigma == 1.35e154:
+        # (z / sigma)**2 is still a subnormal above 0 here, so the CDF is that tiny exact value
+        expected = [-math.expm1(-0.5 * (z / sigma) ** 2) for z in (1.0, 0.5, 2.0)]
+    assert dist.cdf(1.0) == expected[0]
+    assert dist.cdf(np.array([0.5, 2.0])).tolist() == expected[1:]
+
+
+# sha256 of the raw float64 bytes of quantile(p) over SeededSampler(5, 3).uniforms(10**5)
+# followed by p in {2**-64, 1e-300, 0.5, 1 - 2**-53}; a scale of None is the law's default.
+# Any rewrite of quantile must keep every bit of every draw.
+GOLDEN_QUANTILES = [
+    ("rayleigh", None, "25c37df0bad29c55cf491ba402f55788c5829a75b82775a96db54139edad0bda"),
+    ("rayleigh", 0.5, "c22224d91fe13f88c08e25993c806cc72d392137877f716bdaf10ed167ff5695"),
+    ("rayleigh", 2.0, "2196c26b71959e8abacca9399d9e541aa15abace033d03162bb431148f913dff"),
+    ("inverse-rayleigh", None, "156203d8e903d097af62995db81e3f06a841b2aa93c90ab74a97b9cbfa73cdbb"),
+    ("inverse-rayleigh", 0.5, "23c594e4d81f7b4ad206e44bfbd4690a98e2108a0885e32f4369ce65721f1137"),
+    ("inverse-rayleigh", 2.0, "20fa0b91f8bf113e1657688b1adc2555683098c03e040aae42c46fe7d5b64b7d"),
+    ("log-gaussian", None, "f6e4f8d11c2d3a7d873a519e087414f4d6115552a9b5b0d282ac93464467b6b7"),
+    ("log-gaussian", 0.5, "df85854e8ebfaa4360c26cb62cf0e4cabfea5c2995e6ec981cc21409babe8ac7"),
+    ("log-gaussian", 2.0, "ee549bb51049d2d8a83bf9539c04631f25dca9824ce16a49b0f2e2510adf420a"),
+    ("log-laplace", None, "5cf180be2684f28ec06c17db113a4bb6f02f1f43716a34ee9e3e7a1bcedab2cd"),
+    ("log-laplace", 0.5, "99d547bde7cfda7ef9045d617673fa72d2954730fd3265cbc65e27f6f07ffbe3"),
+    ("log-laplace", 2.0, "a306fbfe7691d301957345b3ff4c123edf01eb37dcf32ee32b4367f05e825304"),
+    ("log-uniform", None, "5e0cf48a2151e8ea5a1fb8484aa40c602954014f25e837c290a66697a7f956c1"),
+    ("log-uniform", 0.5, "458cfc06c57ca0bf783fa9b6a10222b937a89fd67de29c822aa0bbde650bb990"),
+    ("log-uniform", 2.0, "95fe8b40f02fee214fb4eeffe89c0c79184de4ba88325a4f201e483ce91b365b"),
+]
+
+LAWS = {
+    "rayleigh": lambda scale: rayleigh(scale and RayleighParams(scale)),
+    "inverse-rayleigh": lambda scale: inverse_rayleigh(scale and RayleighParams(scale)),
+    "log-gaussian": lambda scale: log_gaussian(scale or 1.0),
+    "log-laplace": lambda scale: log_laplace(scale or 1.0),
+    "log-uniform": lambda scale: log_uniform(scale or 1.0),
+}
+
+
+@pytest.mark.parametrize("name, scale, digest", GOLDEN_QUANTILES)
+def test_quantile_draws_are_golden(name, scale, digest):
+    p = np.concatenate([SeededSampler(5, 3).uniforms(10**5), [2.0**-64, 1e-300, 0.5, 1.0 - 2.0**-53]])
+    z = LAWS[name](scale).quantile(p)
+    assert hashlib.sha256(z.tobytes()).hexdigest() == digest
+
+
+TOTALITY_Z = [-1.0, 0.0, 5e-324, 1e-300, 1e-10, 1.0, 1e10, 1e300, math.inf]
+TOTALITY_P = [0.0, 2.0**-64, 0.5, 1.0 - 2.0**-53]
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-3, 1.0, 1e3, 1e300])
+@pytest.mark.parametrize("name", list(LAWS))
+def test_cdf_and_quantile_are_total_at_any_scale(name, scale):
+    # the ends of the support and every valid scale give a value or limit, silently
+    dist = LAWS[name](scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = dist.cdf(np.array(TOTALITY_Z))
+        singles = [dist.cdf(z) for z in TOTALITY_Z]
+        quantiles = dist.quantile(np.array(TOTALITY_P))
+        lowest = dist.quantile(0.0)
+    assert values.tolist() == singles
+    assert not np.any(np.isnan(values))
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    assert np.all(np.diff(values) >= 0.0)
+    assert not np.any(np.isnan(quantiles))
+    assert np.all(np.diff(quantiles) >= 0.0)
+    assert lowest == (math.exp(-scale) if dist.kind is Kind.LOG_UNIFORM else 0.0)

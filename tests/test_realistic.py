@@ -130,12 +130,14 @@ class TestQuantileUpperConfidence:
             quantile_upper_confidence(np.arange(1.0, count), q, alpha)
 
     def test_minimum_count_matches_a_linear_search(self):
-        for q in np.linspace(0.05, 0.95, 19):
-            for alpha in (1e-4, 0.001, 0.01, 0.04, 0.05, 0.1, 0.25, 0.5):
-                m = 1
-                while bdtrc(m - 1, m, q) > alpha:
-                    m += 1
-                assert min_samples_for_quantile_bound(q, alpha) == m, (q, alpha)
+        # the float estimate ln(alpha) / ln(q) is one too high at (0.01, 1e-8) and one too low at (0.2, 0.0016)
+        alphas = (1e-4, 0.001, 0.01, 0.04, 0.05, 0.1, 0.25, 0.5)
+        grid = [(q, alpha) for q in np.linspace(0.05, 0.95, 19) for alpha in alphas]
+        for q, alpha in grid + [(0.01, 1e-8), (0.2, 0.0016)]:
+            m = 1
+            while bdtrc(m - 1, m, q) > alpha:
+                m += 1
+            assert min_samples_for_quantile_bound(q, alpha) == m, (q, alpha)
 
     def test_insufficient_samples_error_names_the_count(self):
         with pytest.raises(ValueError, match="need >= 44"):
