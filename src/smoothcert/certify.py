@@ -48,6 +48,8 @@ _CP_MARGIN = 1e-12
 # Allowed rounding error of a log-endpoint per unit of the terms it comes
 # from: 128 times the unit roundoff, several times each rule's own bound.
 _LOG_TOL = 2.0**-46
+# Largest exponent math.exp takes without raising OverflowError.
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class Method(enum.Enum):
@@ -184,14 +186,15 @@ def _inward(log_gamma: float, size: float) -> float:
     ``_LOG_TOL * size``.  The log is moved toward 0 by that bound, and the
     result one relative 2**-51 further toward 1, which covers ``math.exp`` (1 ulp)
     and this product.  Exact limits (log_gamma = -inf or inf) give 0 and inf;
-    otherwise an endpoint beyond the doubles is clamped to the largest double or
-    the smallest normal one, both on the safe side.
+    otherwise an endpoint beyond the doubles is clamped, on the safe side, to
+    the smallest normal double or, with the exponent capped at ``_LOG_MAX``,
+    to within 2**-51 of the largest one.
     """
     if math.isinf(log_gamma):
         return math.exp(log_gamma)
     shrunk = max(abs(log_gamma) - _LOG_TOL * size, 0.0)
     if log_gamma > 0.0:
-        return max(min(math.exp(shrunk) * (1.0 - 2.0**-51), sys.float_info.max), 1.0)
+        return max(math.exp(min(shrunk, _LOG_MAX)) * (1.0 - 2.0**-51), 1.0)
     return min(max(math.exp(-shrunk) * (1.0 + 2.0**-51), sys.float_info.min), 1.0)
 
 

@@ -20,7 +20,6 @@ from typing import Sequence
 import numpy as np
 from scipy.special import bdtrc, ndtri
 
-from . import runtime
 from .certify import Abstain, ProbBounds, SampleCounts, certify_for
 from .distributions import SmoothingDistribution, rayleigh
 from .rng import SeededSampler, _split
@@ -38,6 +37,14 @@ __all__ = [
     "estimate_conversion_error",
     "certify_realistic",
 ]
+
+def _check_interval(name: str, interval: tuple[float, float]) -> tuple[float, float]:
+    """The one rule for an attack interval: 0 < lo <= 1 <= hi < inf and lo < hi."""
+    lo, hi = interval
+    if not (0.0 < lo <= 1.0 <= hi < math.inf and lo < hi):
+        raise ValueError(f"{name} must straddle 1 with 0 < lo < hi < inf, got {interval}")
+    return float(lo), float(hi)
+
 
 def error_budget(alpha: float, q_E: float, alpha_E: float) -> float:
     """Total mistake probability rho = alpha + (1 - q_E) + alpha_E.
@@ -79,10 +86,7 @@ class ErrorBudget:
             raise ValueError(f"alpha_E must lie in (0, 1), got {self.alpha_E}")
         if not self.rho >= 0.0:
             raise ValueError(f"rho must be nonnegative, got {self.rho}")
-        lo, hi = self.gamma_interval
-        if not (0.0 < lo <= 1.0 <= hi and lo < hi):
-            raise ValueError(f"gamma_interval must straddle 1 with lo < hi, got {self.gamma_interval}")
-        object.__setattr__(self, "gamma_interval", (float(lo), float(hi)))
+        object.__setattr__(self, "gamma_interval", _check_interval("gamma_interval", self.gamma_interval))
 
     @classmethod
     def for_alpha(
@@ -224,14 +228,10 @@ def estimate_conversion_error(
     enough times to satisfy the sample requirement: the maxima then vary only
     over the factor draws.
     """
-    lo, hi = gamma_interval
-    if not 0.0 < lo < hi < math.inf:
-        raise ValueError(f"gamma interval must satisfy 0 < lo < hi < inf, got {gamma_interval}")
+    lo, hi = _check_interval("gamma interval", gamma_interval)
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     tensors = [validate_image(x) for x in dataset]
-    if not tensors:
-        raise ValueError("dataset must be nonempty")
     needed = min_samples_for_quantile_bound(q_E, alpha_E)
     if len(tensors) < needed:
         raise ValueError(
@@ -241,12 +241,7 @@ def estimate_conversion_error(
     law = dist or rayleigh()
     betas = law.sample(SeededSampler(seed), len(tensors))
     grid = np.linspace(lo, hi, grid_points)
-
-    def worst(x: np.ndarray, beta: float) -> float:  # chunks of at most _TALLY_CAP doubles: memory flat in grid_points
-        step = max(1, runtime._TALLY_CAP // x.size)
-        return max(conversion_error(x, beta, grid[i : i + step]).max() for i in range(0, grid_points, step))
-
-    maxima = [worst(x, float(beta)) for x, beta in zip(tensors, betas)]
+    maxima = [conversion_error(x, float(beta), grid).max() for x, beta in zip(tensors, betas)]
     return quantile_upper_confidence(maxima, q_E, alpha_E)
 
 

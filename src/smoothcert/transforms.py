@@ -106,7 +106,8 @@ def conversion_error(x, beta: float, gammas) -> np.ndarray:
     The quantized path stores the attacked image at 8 bits, applies the
     smoothing factor, and stores again: q(q(x^gamma)^beta).  The reference is
     the unquantized composite x^(beta*gamma).  ``gammas`` is a 1-D array of
-    attack factors; the result has the same length.
+    attack factors; the result has the same length.  One image-sized buffer
+    serves every factor, so memory is a few images for any number of them.
     """
     if not beta > 0.0:
         raise ValueError(f"smoothing factor must be positive, got {beta}")
@@ -114,18 +115,17 @@ def conversion_error(x, beta: float, gammas) -> np.ndarray:
     if rows.ndim != 1 or not np.all(rows > 0.0):
         raise ValueError(f"attack factors must be a 1-D array of positive values, got {gammas!r}")
     arr = validate_image(x)
-    # One scalar exponent per row: numpy takes x ** 0.5 as sqrt(x) and
+    buf = np.empty_like(arr)
+    norms = np.empty(rows.size)
+    # One scalar exponent per call: numpy takes x ** 0.5 as sqrt(x) and
     # x ** 2.0 as x * x only for a scalar exponent, so a broadcast exponent
     # array can differ in the last bit.
-    diff = np.empty((rows.size,) + arr.shape)
-    for row, g in zip(diff, rows):
-        np.power(arr, g, out=row)
-    _snap8(diff)
-    np.power(diff, beta, out=diff)
-    _snap8(diff)
-    for row, g in zip(diff, rows):
-        row -= np.power(arr, beta * g)
-    return np.array([np.linalg.norm(row) for row in diff])
+    for i, g in enumerate(rows):
+        _snap8(np.power(arr, g, out=buf))
+        _snap8(np.power(buf, beta, out=buf))
+        buf -= np.power(arr, beta * g)
+        norms[i] = np.linalg.norm(buf)
+    return norms
 
 
 def write_tensor(x, path) -> None:

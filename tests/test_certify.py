@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import sys
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -300,6 +301,12 @@ class TestCertifyRayleigh:
         assert (cert.gamma1, cert.gamma2) == (0.0, math.inf)
         with pytest.raises(ValueError):
             ProbBounds(1.0, 0.1)
+        for pb in (1.0, -0.1):
+            with pytest.raises(ValueError, match="pb_upper must lie in"):
+                ProbBounds(0.9, pb)
+        for confidence in (0.0, 1.5):
+            with pytest.raises(ValueError, match="confidence must lie in"):
+                ProbBounds(0.9, 0.05, confidence)
 
     def test_interval_straddles_one(self):
         rng = np.random.default_rng(5)
@@ -476,6 +483,10 @@ class TestClopperPearson:
         with pytest.raises(ValueError):
             clopper_pearson(SampleCounts(5, 10), 0.0, Side.LOWER)
 
+    def test_side_validation(self):
+        with pytest.raises(ValueError, match="unknown side: 'lower'"):
+            clopper_pearson(SampleCounts(5, 10), 0.05, "lower")
+
     def test_counts_validation(self):
         with pytest.raises(ValueError):
             SampleCounts(11, 10)
@@ -565,6 +576,19 @@ class TestLogSpaceRadius:
         cert = log_space_radius(log_laplace(1.0), ProbBounds(0.75, 0.25))
         assert abs(cert.gamma1 - 0.5) < 1e-12
         assert abs(cert.gamma2 - 2.0) < 1e-12
+
+    @pytest.mark.parametrize("law", [log_gaussian, log_laplace, log_uniform])
+    @pytest.mark.parametrize("scale", [600.0, 1e3, 1e308])
+    def test_endpoints_beyond_the_doubles_are_clamped(self, law, scale):
+        # an ln-radius past ln(DBL_MAX) ~ 709.8 gives the smallest normal
+        # double on the left and, on the right, the largest math.exp reaches
+        cert = certify_for(law(scale), ProbBounds(0.9, 0.1))
+        assert isinstance(cert, Certificate)
+        assert sys.float_info.min <= cert.gamma1 < 1.0 < cert.gamma2 < math.inf
+        if cert.gamma1 > sys.float_info.min:  # log-uniform at 600: radius 480
+            assert -math.log(cert.gamma1) == pytest.approx(math.log(cert.gamma2), rel=1e-12)
+        else:
+            assert cert.gamma2 > 1e308
 
     def test_laplace_abstains_below_half(self):
         assert isinstance(log_space_radius(log_laplace(1.0), ProbBounds(0.45, 0.55)), Abstain)

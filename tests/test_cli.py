@@ -112,6 +112,11 @@ class TestCert:
         assert out == ""
         assert "scale" in err
 
+    @pytest.mark.parametrize("pa", ["0", "1", "1.5"])
+    def test_pa_outside_the_unit_interval_exits_one(self, capsys, pa):
+        code, out, err = run(capsys, ["cert", "--pa", pa, "--trivial-pb"])
+        TestRealisticCommand._assert_one_error_line(code, out, err, "--pa must lie in (0, 1)")
+
     def test_log_laplace_abstains_at_half(self, capsys):
         code, out, _ = run(capsys, ["cert", "--pa", "0.5", "--trivial-pb", "--dist", "log-laplace"])
         assert code == EXIT_ABSTAIN
@@ -284,6 +289,24 @@ class TestSmooth:
         )
         TestRealisticCommand._assert_one_error_line(code, out, err, "gamma_max", "finite")
 
+    def test_sweep_of_an_abstaining_input_is_empty(self, capsys, oracle_workspace):
+        # ten hash labels scatter the votes: the clean prediction abstains and
+        # the sweep has no label to keep
+        (oracle_workspace / "hash.json").write_text(json.dumps({"type": "hash", "classes": 10}))
+        code, out, _ = run(
+            capsys,
+            [
+                "smooth",
+                "--input", str(oracle_workspace / "x.mst1"),
+                "--classifier", str(oracle_workspace / "hash.json"),
+                "--n", "200", "--alpha", "0.01", "--seed", "5", "--sweep",
+            ],
+        )
+        assert code == EXIT_ABSTAIN
+        report = json.loads(out)
+        jsonschema.validate(report, load_schema("report.schema.json"))
+        assert report["result"]["sweep"] == {"empty": True, "left": None, "right": None}
+
     def test_env_seed_default(self, capsys, oracle_workspace, monkeypatch):
         monkeypatch.setenv("SMOOTHCERT_SEED", "123")
         _, out, _ = run(
@@ -446,10 +469,14 @@ class TestRealisticCommand:
             (lambda doc: {**doc, "E": -1.0}, "E must be nonnegative"),
             (lambda doc: {**doc, "gamma_interval": [1.1, 1.25]}, "gamma_interval must straddle 1"),
             (lambda doc: {**doc, "bogus": 1}, "'bogus'"),
+            (lambda doc: {**doc, "q_E": 1.0}, "q_E must lie in (0, 1)"),
+            (lambda doc: {**doc, "alpha_E": 0.0}, "alpha_E must lie in (0, 1)"),
+            (lambda doc: {**doc, "rho": -0.5}, "rho must be nonnegative"),
         ],
         ids=[
             "list", "null", "string", "scalar-interval", "null-in-interval", "missing",
             "beyond-double-range", "infinite-in-interval", "negative-E", "interval-above-one", "unknown-field",
+            "q_E-one", "alpha_E-zero", "negative-rho",
         ],
     )
     def test_malformed_budget_field_exits_one(self, capsys, workspace, edit, field):
@@ -549,6 +576,20 @@ class TestEstimateError:
         assert out == ""
         assert "gamma interval" in err
 
+    def test_interval_above_one_exits_one(self, capsys, tmp_path):
+        # the rule ErrorBudget reads: an E measured on (1.1, 1.3) could never
+        # enter a budget
+        dataset = tmp_path / "data"
+        dataset.mkdir()
+        rng = np.random.default_rng(1)
+        for i in range(50):
+            write_tensor(rng.uniform(0.0, 1.0, (4, 4)), dataset / f"t{i:02d}.mst1")
+        argv = ["estimate-error", "--dataset", str(dataset), "--qe", "0.9", "--alphae", "0.05"]
+        code, out, err = run(capsys, [*argv, "--gamma-min", "1.1", "--gamma-max", "1.3"])
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "gamma interval must straddle 1" in err
+
     def test_too_few_tensors_for_the_quantile_bound_exit_one(self, capsys, tmp_path):
         # at q_E = 0.1, alpha_E = 0.01 the largest of two maxima is no bound:
         # P(Bin(2, 0.1) >= 2) rounds above 0.01, so three tensors are needed
@@ -574,6 +615,10 @@ class TestEstimateError:
             ],
         )
         assert code == EXIT_ERROR
+        (tmp_path / "empty").mkdir()
+        argv = ["estimate-error", "--dataset", str(tmp_path / "empty"), "--gamma-min", "0.9", "--gamma-max", "1.1"]
+        code, out, err = run(capsys, [*argv, "--qe", "0.9", "--alphae", "0.05"])
+        TestRealisticCommand._assert_one_error_line(code, out, err, "no .mst1 tensors")
 
 
 def test_manifest_config_keys_are_the_parser_destinations(capsys, oracle_workspace):
@@ -687,10 +732,31 @@ class TestCompare:
         code, out, err = run(capsys, ["compare", "--pa-grid", spec])
         TestRealisticCommand._assert_one_error_line(code, out, err, "--pa-grid", "start:stop:count", repr(spec))
 
+    @pytest.mark.parametrize("spec", ["1.0", "0.5:1.5:3", "0.9,0"])
+    def test_pa_grid_value_outside_the_unit_interval_exits_one(self, capsys, spec):
+        code, out, err = run(capsys, ["compare", "--pa-grid", spec])
+        TestRealisticCommand._assert_one_error_line(code, out, err, "pa grid values must lie in (0, 1)")
+
     def test_bad_distribution_exits_one(self, capsys):
         code, _, err = run(capsys, ["compare", "--dists", "cauchy"])
         assert code == EXIT_ERROR
         assert "unknown distributions" in err
+
+
+@pytest.mark.parametrize(
+    "argv, clamped",
+    [
+        (["cert", "--pa", "0.9", "--pb", "0.1", "--dist", "log-gaussian", "--scale", "600"], "gamma1 0.0000\n"),
+        (["compare", "--pa-grid", "0.6", "--scale", "1e308"], ",2.2250738585072014e-308,1.7976931348622724e+308\n"),
+    ],
+    ids=["cert", "compare"],
+)
+def test_log_space_scales_beyond_the_doubles_print_a_result(capsys, argv, clamped):
+    # an ln-radius past ln(DBL_MAX) clamps the endpoints instead of raising
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_OK
+    assert err == ""
+    assert clamped in out
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -12,6 +12,7 @@ from smoothcert import (
     Kind,
     RayleighParams,
     SeededSampler,
+    SmoothingDistribution,
     inverse_rayleigh,
     log_gaussian,
     log_laplace,
@@ -106,6 +107,12 @@ class TestInverseRayleigh:
 
 
 class TestSmoothingDistribution:
+    @pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_scale(self, kind, bad):
+        with pytest.raises(ValueError, match="scale must be a positive finite real"):
+            SmoothingDistribution(kind, bad)
+
     @pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: d.kind.value)
     def test_cdf_monotone_and_normalized(self, dist):
         z = np.geomspace(1e-4, 1e3, 200)

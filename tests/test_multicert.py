@@ -227,6 +227,21 @@ class TestInRobustRegion:
         with pytest.raises(ValueError, match="finite"):
             MultiCertProblem(n=2, sigma=math.inf, pa_lower=0.9, pb_upper=0.1, mc_samples=20_000, seed=1)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n", 0, "factor count must be >= 1"),
+            ("pa_lower", 1.0, "pa_lower must lie in"),
+            ("pb_upper", 0.0, "pb_upper must lie in"),
+            ("pb_upper", 0.95, "pa_lower must exceed pb_upper"),
+            ("mc_samples", 10, "mc_samples must be >= "),
+        ],
+    )
+    def test_problem_checks_its_fields_when_built(self, field, value, message):
+        fields = dict(n=2, sigma=0.8, pa_lower=0.9, pb_upper=0.05, mc_samples=10_000, seed=1)
+        with pytest.raises(ValueError, match=message):
+            MultiCertProblem(**{**fields, field: value})
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_problem_checks_its_seed_when_built(self, seed):
         with pytest.raises(ValueError, match="64-bit unsigned"):

@@ -59,6 +59,13 @@ class TestErrorBudget:
     def test_direct_arithmetic(self):
         assert abs(error_budget(0.01, 0.9, 0.01) - 0.12) < 1e-12
 
+    @pytest.mark.parametrize(
+        "name, args", [("alpha", (-0.1, 0.9, 0.01)), ("q_E", (0.01, 1.5, 0.01)), ("alpha_E", (0.01, 0.9, math.nan))]
+    )
+    def test_components_must_lie_in_the_unit_interval(self, name, args):
+        with pytest.raises(ValueError, match=f"^{name} must lie in"):
+            error_budget(*args)
+
     def test_feasibility_flag(self):
         assert make_budget().feasible
         assert not make_budget(q_E=0.55, alpha_E=0.2, alpha=0.1).feasible
@@ -68,6 +75,8 @@ class TestErrorBudget:
             make_budget(interval=(1.1, 1.5))
         with pytest.raises(ValueError):
             make_budget(interval=(0.9, 0.8))
+        with pytest.raises(ValueError, match="gamma_interval must straddle 1"):
+            make_budget(interval=(0.5, math.inf))
 
     def test_json_roundtrip(self, tmp_path):
         budget = make_budget(E=0.22)
@@ -83,6 +92,8 @@ class TestAdjustProbabilities:
 
     def test_crossing_abstains(self):
         assert isinstance(adjust_probabilities(0.6, 0.4, 0.111), Abstain)
+        # pa - rho = 0.75 clears 1/2 but not pb + rho = 0.85
+        assert "adjusted bounds cross" in adjust_probabilities(0.9, 0.7, 0.15).reason
 
     def test_zero_shift_is_identity(self):
         bounds = adjust_probabilities(0.8, 0.2, 0.0)
@@ -118,6 +129,9 @@ class TestGaussianRadius:
 class TestQuantileUpperConfidence:
     def test_minimum_sample_count(self):
         assert min_samples_for_quantile_bound(0.9, 0.01) == 44
+        for q, alpha in ((0.0, 0.01), (1.0, 0.01), (0.9, 0.0), (0.9, 1.0)):
+            with pytest.raises(ValueError, match="q and alpha must lie in"):
+                min_samples_for_quantile_bound(q, alpha)
 
     @pytest.mark.parametrize("q, alpha, count", [(0.1, 0.01, 3), (0.1, 0.001, 4), (0.2, 0.04, 3), (0.5, 0.1, 4)])
     def test_minimum_count_is_where_the_largest_sample_first_qualifies(self, q, alpha, count):
@@ -193,20 +207,27 @@ class TestEstimateConversionError:
             estimate_conversion_error(
                 [np.array([0.5])] * 10, GAMMA_INTERVAL, q_E=0.9, alpha_E=0.01, seed=1
             )
+        with pytest.raises(ValueError, match="need >= 44 .* got 0"):
+            estimate_conversion_error([], GAMMA_INTERVAL, q_E=0.9, alpha_E=0.01, seed=1)
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             estimate_conversion_error([np.array([0.5])] * 50, (1.2, 0.8), 0.9, 0.05)
+        with pytest.raises(ValueError, match="grid_points must be >= 2"):
+            estimate_conversion_error([np.array([0.5])] * 50, GAMMA_INTERVAL, 0.9, 0.05, grid_points=1)
+        for interval in ((1.1, 1.3), (0.8, 0.95)):  # the attack interval of any budget straddles 1
+            with pytest.raises(ValueError, match="gamma interval must straddle 1"):
+                estimate_conversion_error([np.array([0.5])] * 50, interval, 0.9, 0.05)
 
     def test_interval_end_must_be_finite(self):
         with pytest.raises(ValueError, match="gamma interval"):
             estimate_conversion_error([np.array([0.5])] * 50, (0.9, math.inf), 0.9, 0.05)
 
-    def test_memory_is_flat_in_the_grid(self, monkeypatch):
-        # E recorded when each tensor's whole grid was one array, whose peak
-        # grew eightfold from 64 to 512 points; four rows a chunk keep it flat
+    def test_memory_is_flat_in_the_grid(self):
+        # E recorded when each tensor's whole grid was one array; one
+        # image-sized buffer a factor leaves only the O(grid) factor and norm
+        # vectors, a few dozen bytes per grid point instead of one image each
         tensors = list(np.random.default_rng(8).random((30, 3, 16, 16)))
-        monkeypatch.setattr(runtime, "_TALLY_CAP", 4 * tensors[0].size)
         peaks = {}
         for grid_points, E in {64: 0.5555546696332037, 512: 0.5589558310807705}.items():
             tracemalloc.start()
@@ -215,7 +236,7 @@ class TestEstimateConversionError:
                 peaks[grid_points] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[512] < 1.25 * peaks[64]
+        assert (peaks[512] - peaks[64]) / (512 - 64) < 24
 
     def test_per_input_guarantee_via_repetition(self):
         # same tensor repeated: the bound then holds over factor draws alone
@@ -536,3 +557,8 @@ class TestRealisticConfig:
             RealisticConfig(n_eps=0, n_gamma=1, sigma_gauss=0.1, alpha=0.01)
         with pytest.raises(ValueError):
             RealisticConfig(n_eps=1, n_gamma=1, sigma_gauss=-0.1, alpha=0.01)
+        with pytest.raises(ValueError, match="n_gamma must be positive"):
+            RealisticConfig(n_eps=1, n_gamma=0, sigma_gauss=0.1, alpha=0.01)
+        for alpha in (0.0, 1.0):
+            with pytest.raises(ValueError, match="alpha must lie in"):
+                RealisticConfig(n_eps=1, n_gamma=1, sigma_gauss=0.1, alpha=alpha)

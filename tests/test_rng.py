@@ -47,6 +47,20 @@ def cores(monkeypatch):
     return set_cores
 
 
+@pytest.mark.parametrize(
+    "draw, message",
+    [
+        (lambda: SeededSampler(1, -1), "stream_index must be nonnegative"),
+        (lambda: SeededSampler(1).uniforms(-1), "count must be nonnegative"),
+        (lambda: SeededSampler(1).uniforms(3, start=-2), "start must be nonnegative"),
+    ],
+    ids=["stream-index", "count", "start"],
+)
+def test_negative_index_is_rejected(draw, message):
+    with pytest.raises(ValueError, match=message):
+        draw()
+
+
 class TestPartitionExactness:
     @pytest.mark.parametrize("start", STARTS)
     @pytest.mark.parametrize("count", COUNTS)

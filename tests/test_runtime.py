@@ -459,6 +459,10 @@ class TestLinearClassifier:
         clf = LinearClassifier(np.array([[0.1, 0.2]]), np.array([0.0]))
         with pytest.raises(ValueError):
             clf.labels(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="weights must be 2-D"):
+            LinearClassifier(np.array([0.1, 0.2]), np.array([0.0]))
+        with pytest.raises(ValueError, match="bias shape"):
+            LinearClassifier(np.array([[0.1, 0.2]]), np.array([0.0, 0.0]))
 
     def test_manifest_roundtrip(self, tmp_path):
         weights = np.array([[0.9, 0.1], [0.2, 0.8]])
@@ -604,3 +608,4 @@ class TestHashClassifier:
         assert np.array_equal(labels, clf.labels(batch))
         counts = np.bincount(labels, minlength=10)
         assert counts.max() < 120  # roughly uniform across 10 classes
+        assert clf.descriptor == "hash(classes=10)"

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +55,10 @@ class TestGammaCorrect:
     def test_rejects_out_of_range_input(self):
         with pytest.raises(OutOfRangeError):
             gamma_correct(np.array([1.5]), 1.0)
+        with pytest.raises(ValueError, match="nonempty"):
+            gamma_correct(np.array([]), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            gamma_correct(np.array([0.5, math.nan]), 1.0)
 
     def test_batch_rejects_nan_and_takes_the_limit_at_inf(self):
         # one positivity rule with the scalar form: NaN is no positive factor
@@ -60,6 +66,8 @@ class TestGammaCorrect:
             gamma_correct(np.array([0.5]), math.nan)
         with pytest.raises(ValueError):
             gamma_correct_batch(np.array([0.5]), np.array([1.2, math.nan]))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            gamma_correct_batch(np.array([0.5]), np.array([[1.2, 0.8]]))
         assert gamma_correct_batch(np.array([0.5, 1.0]), np.array([math.inf])).tolist() == [[0.0, 1.0]]
 
     def test_composability_over_random_factors(self):
@@ -146,8 +154,47 @@ class TestConversionError:
         for gammas in (np.ones((2, 2)), np.array([1.1, 0.0]), [1.1, math.nan], 1.1, np.array(1.1)):
             with pytest.raises(ValueError):
                 conversion_error(x, 0.9, gammas)
+        for beta in (0.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match="smoothing factor must be positive"):
+                conversion_error(x, beta, [1.1])
         # x ** inf is 0 below 1 and 1 at 1 on both paths
         assert conversion_error(x, 0.9, [math.inf]).tolist() == [0.0]
+
+
+@pytest.mark.parametrize(
+    "seed, shape, grid, digest",
+    [
+        (11, (5,), (0.5, 2.0, 16), "f07e65081ec295ee2d86ed8a188ce745182ee271754097525f35aced83cfaed0"),
+        (12, (5,), (0.71, 1.33, 64), "e1750bc1ac2fbdc2fbfda3bfdf9970a56bd1846c02b7f529f79dff223e51528d"),
+        (13, (3, 8, 8), (0.5, 2.0, 16), "f09185dc1e72ffce4074fc5bc8c289a0d519fc7b3d1e57be9031df3cfff9d9c4"),
+        (14, (3, 8, 8), (0.71, 1.33, 64), "3d2faec6a4c2c075247b33e5ee6fe1be34f00a67b020ed9b21810cb796f53660"),
+        (15, (3, 32, 32), (0.5, 2.0, 16), "d8a4dbb5fe7a110672204be737bec175c1485026dd9221b4a6c7ce901fae572d"),
+        (16, (3, 32, 32), (0.71, 1.33, 64), "0ef4007dcec1c4fcc0cc8c44160c5d01ef4c878251fa3f3870513adac3b9dd73"),
+    ],
+)
+def test_conversion_error_is_golden(seed, shape, grid, digest):
+    # sha256 of the float64 norms for four smoothing factors, recorded with
+    # numpy 2.4; any rewrite of the grid walk must keep every bit.
+    x = np.random.default_rng(seed).uniform(0.0, 1.0, shape)
+    factors = np.linspace(*grid)
+    norms = np.concatenate([conversion_error(x, beta, factors) for beta in (0.37, 0.83, 1.0, 2.0)])
+    assert hashlib.sha256(norms.tobytes()).hexdigest() == digest
+
+
+def test_conversion_error_memory_is_flat_in_the_factors():
+    # one image-sized buffer whatever the number of attack factors; a
+    # (factors x pixels) array would grow 98 KB a factor on this image
+    x = np.random.default_rng(17).uniform(0.0, 1.0, (3, 64, 64))
+    peaks = {}
+    for count in (16, 1024):
+        factors = np.linspace(0.5, 2.0, count)
+        tracemalloc.start()
+        try:
+            conversion_error(x, 0.83, factors)
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1024] - peaks[16]) / (1024 - 16) < 24
 
 
 class TestTensorFormat:
@@ -179,6 +226,23 @@ class TestTensorFormat:
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(TruncatedPayloadError):
+            read_tensor(path)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (b"\x01\x00", "before ndim"),
+            (struct.pack("<I", 0), "implausible ndim 0"),
+            (struct.pack("<I", 33), "implausible ndim 33"),
+            (struct.pack("<2I", 2, 3), "before dims"),
+            (struct.pack("<3I", 2, 3, 0), "zero-sized dimension"),
+        ],
+        ids=["no-ndim", "ndim-zero", "ndim-33", "no-dims", "zero-dim"],
+    )
+    def test_short_or_empty_header_is_truncated(self, tmp_path, header, message):
+        path = tmp_path / "head.mst1"
+        path.write_bytes(b"MST1" + header)
+        with pytest.raises(TruncatedPayloadError, match=message):
             read_tensor(path)
 
     def test_header_whose_element_count_overflows_64_bits(self, tmp_path):
