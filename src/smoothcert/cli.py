@@ -326,8 +326,8 @@ def cmd_compare(args: argparse.Namespace) -> _Run:
             if dist.kind is Kind.RAYLEIGH and isinstance(outcome, Certificate):
                 rayleigh_cert = outcome
             rows.append(_compare_row(pa, name, dist.scale, outcome))
-        if args.matched and rayleigh_cert is not None and pa > 0.5:
-            # scale matching the log-Gaussian right endpoint to the direct one
+        if args.matched and rayleigh_cert is not None and rayleigh_cert.gamma2 > 1.0:
+            # scale matching the log-Gaussian right endpoint to the direct one (gamma2 > 1 implies pa > 1/2)
             matched_scale = math.log(rayleigh_cert.gamma2) / float(ndtri(pa))
             outcome = certify_for(log_gaussian(matched_scale), ProbBounds(pa, pb))
             rows.append(_compare_row(pa, "log-gaussian-matched", matched_scale, outcome))

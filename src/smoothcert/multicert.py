@@ -103,6 +103,12 @@ def _sorted_gamma(gamma: Sequence[float], n: int) -> np.ndarray:
     return np.sort(g)[::-1]
 
 
+def _coefficients(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The threshold and verdict coefficients 1 - g^-2 and g^2 - 1; a square past the doubles reads as inf."""
+    with np.errstate(over="ignore"):
+        return 1.0 - g**-2.0, g**2.0 - 1.0
+
+
 def _exp_squares(sigma: float, n: int, mc_samples: int, sampler: SeededSampler) -> np.ndarray:
     """(mc_samples, n) draws of squared Rayleigh factors: Exp(mean 2 sigma^2)."""
     u = sampler.uniforms(mc_samples * n)
@@ -166,7 +172,7 @@ def solve_thresholds(
     identity vector has all-zero coefficients; membership short-circuits
     there, and (0, 0) is returned.
     """
-    coeffs = 1.0 - _sorted_gamma(gamma, problem.n) ** -2.0
+    coeffs, _ = _coefficients(_sorted_gamma(gamma, problem.n))
     if np.all(coeffs == 0.0):
         return 0.0, 0.0
     sums = _sums(problem, coeffs, stream_index)
@@ -190,7 +196,7 @@ def in_robust_region(
         return RegionQuery(tuple(np.asarray(gamma, dtype=float)), 0.0, 0.0, Verdict.INSIDE)
 
     r, theta = solve_thresholds(problem, g, stream_index=stream_base)
-    sums = _sums(problem, g**2.0 - 1.0, stream_base + 1)
+    sums = _sums(problem, _coefficients(g)[1], stream_base + 1)
     (lhs_lo, lhs_hi), (rhs_lo, rhs_hi) = _estimate(sums <= r), _estimate(sums >= theta)
     if lhs_lo > rhs_hi:
         verdict = Verdict.INSIDE

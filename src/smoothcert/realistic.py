@@ -130,8 +130,8 @@ class RealisticConfig:
             raise ValueError(f"n_eps must be positive, got {self.n_eps}")
         if self.n_gamma < 1:
             raise ValueError(f"n_gamma must be positive, got {self.n_gamma}")
-        if not self.sigma_gauss > 0.0:
-            raise ValueError(f"sigma_gauss must be positive, got {self.sigma_gauss}")
+        if not 0.0 < self.sigma_gauss < math.inf:
+            raise ValueError(f"sigma_gauss must be a positive finite real, got {self.sigma_gauss}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         SeededSampler(self.seed)  # the one seed rule
@@ -161,8 +161,8 @@ def gaussian_l2_radius(pa_lower: float, sigma_gauss: float) -> float | Abstain:
     """Certified l2 radius of Gaussian smoothing with the trivial runner-up bound."""
     if not 0.0 < pa_lower < 1.0:
         raise ValueError(f"pa_lower must lie in (0, 1), got {pa_lower}")
-    if not sigma_gauss > 0.0:
-        raise ValueError(f"sigma_gauss must be positive, got {sigma_gauss}")
+    if not 0.0 < sigma_gauss < math.inf:
+        raise ValueError(f"sigma_gauss must be a positive finite real, got {sigma_gauss}")
     if pa_lower <= 0.5:
         return Abstain(f"pa_lower={pa_lower} <= 1/2: no l2 radius")
     return sigma_gauss * float(ndtri(pa_lower))

@@ -16,7 +16,6 @@ the ground-truth oracle the test suite certifies against.
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import itertools
 import json
@@ -49,7 +48,6 @@ __all__ = [
     "BaseClassifier",
     "ThresholdOracle",
     "ConstantClassifier",
-    "HashLabelClassifier",
     "LinearClassifier",
     "load_classifier",
     "SmoothingConfig",
@@ -131,29 +129,6 @@ class ConstantClassifier(BaseClassifier):
     @property
     def descriptor(self) -> str:
         return f"constant(label={self.constant_label})"
-
-
-@dataclass(frozen=True)
-class HashLabelClassifier(BaseClassifier):
-    """Labels from a content hash: deterministic but uniformly scattered."""
-
-    num_classes: int = 10
-
-    def __post_init__(self) -> None:
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-
-    def labels(self, batch: np.ndarray) -> np.ndarray:
-        flat = np.ascontiguousarray(batch.reshape(batch.shape[0], -1), dtype="<f8")
-        out = np.empty(batch.shape[0], dtype=int)
-        for i, row in enumerate(flat):
-            digest = hashlib.blake2b(row.tobytes(), digest_size=8).digest()
-            out[i] = int.from_bytes(digest, "little") % self.num_classes
-        return out
-
-    @property
-    def descriptor(self) -> str:
-        return f"hash(classes={self.num_classes})"
 
 
 @dataclass(frozen=True)
@@ -268,11 +243,7 @@ def _constant(label: int) -> ConstantClassifier:
     return ConstantClassifier(label)
 
 
-def _hash(classes: int) -> HashLabelClassifier:
-    return HashLabelClassifier(classes)
-
-
-_SYNTHETIC = {"threshold": ThresholdOracle, "constant": _constant, "hash": _hash}
+_SYNTHETIC = {"threshold": ThresholdOracle, "constant": _constant}
 
 
 def load_classifier(manifest_path) -> BaseClassifier:
@@ -280,8 +251,8 @@ def load_classifier(manifest_path) -> BaseClassifier:
 
     The linear form references MST1 tensors next to the manifest:
     ``{"weights": path, "bias": path, "classes": k}``.  Synthetic classifiers
-    use a ``type`` tag instead: ``threshold`` (pixel_value, threshold),
-    ``constant`` (label) or ``hash`` (classes).
+    use a ``type`` tag instead: ``threshold`` (pixel_value, threshold) or
+    ``constant`` (label).
     """
 
     def pick(spec: dict) -> Callable:

@@ -135,6 +135,8 @@ def write_tensor(x, path) -> None:
     product(dims) x f64 row-major entries.
     """
     arr = validate_image(x)
+    if not 1 <= arr.ndim <= _MAX_NDIM:
+        raise TensorFormatError(f"{path}: MST1 holds 1 to {_MAX_NDIM} dimensions, got {arr.ndim}")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", arr.ndim))

@@ -243,10 +243,23 @@ class TestSmooth:
         )
         TestRealisticCommand._assert_one_error_line(code, out, err, "label", "-1")
 
+    def test_hash_manifest_is_unrecognized(self, capsys, oracle_workspace):
+        (oracle_workspace / "hash.json").write_text(json.dumps({"type": "hash", "classes": 10}))
+        code, out, err = run(
+            capsys,
+            [
+                "smooth",
+                "--input", str(oracle_workspace / "x.mst1"),
+                "--classifier", str(oracle_workspace / "hash.json"),
+                "--n", "100", "--alpha", "0.01",
+            ],
+        )
+        TestRealisticCommand._assert_one_error_line(code, out, err, "hash.json", "unrecognized classifier manifest")
+
     @pytest.mark.parametrize(
         "manifest,field",
-        [({"type": "constant", "label": -1}, "'label'"), ({"type": "hash", "classes": 1}, "'classes'")],
-        ids=["constant-label", "hash-classes"],
+        [({"type": "constant", "label": -1}, "'label'")],
+        ids=["constant-label"],
     )
     def test_range_errors_name_the_manifest_and_field(self, capsys, oracle_workspace, manifest, field):
         (oracle_workspace / "ranged.json").write_text(json.dumps(manifest))
@@ -290,15 +303,18 @@ class TestSmooth:
         TestRealisticCommand._assert_one_error_line(code, out, err, "gamma_max", "finite")
 
     def test_sweep_of_an_abstaining_input_is_empty(self, capsys, oracle_workspace):
-        # ten hash labels scatter the votes: the clean prediction abstains and
-        # the sweep has no label to keep
-        (oracle_workspace / "hash.json").write_text(json.dumps({"type": "hash", "classes": 10}))
+        # the threshold sits at the clean pixel, so the exact smoothed
+        # probability is 1/2: the clean prediction abstains and the sweep has
+        # no label to keep
+        (oracle_workspace / "half.json").write_text(
+            json.dumps({"type": "threshold", "pixel_value": 0.5, "threshold": 0.5})
+        )
         code, out, _ = run(
             capsys,
             [
                 "smooth",
                 "--input", str(oracle_workspace / "x.mst1"),
-                "--classifier", str(oracle_workspace / "hash.json"),
+                "--classifier", str(oracle_workspace / "half.json"),
                 "--n", "200", "--alpha", "0.01", "--seed", "5", "--sweep",
             ],
         )
@@ -508,7 +524,7 @@ class TestRealisticCommand:
             ([], "bad-classifier.json"),
             ({"type": "threshold", "pixel_value": None, "threshold": 0.25}, "'pixel_value'"),
             ({"type": "constant", "label": 1.5}, "'label'"),
-            ({"type": "hash", "classes": "3"}, "'classes'"),
+            ({"type": "constant", "label": "3"}, "'label'"),
             ({"weights": None, "bias": "b.mst1", "classes": 2}, "'weights'"),
             ({"type": []}, "unrecognized"),
             ({"type": "constant", "label": 1, "bogus": 1}, "'bogus'"),
@@ -703,6 +719,16 @@ class TestCompare:
         # matched baseline shares the right endpoint but has a larger left one
         assert matched["gamma2"] == "1.82"
         assert float(matched["gamma1_full"]) > float(by_dist["rayleigh"]["gamma1_full"])
+
+    @pytest.mark.parametrize("pa, matched", [("0.50000000000001", False), ("0.5000000000001", True)])
+    def test_matched_row_needs_a_rayleigh_right_end_above_one(self, capsys, pa, matched):
+        # just above 1/2 the Rayleigh right end rounds to exactly 1, which
+        # no log-Gaussian scale matches
+        code, out, err = run(capsys, ["compare", "--pa-grid", pa])
+        assert (code, err) == (EXIT_OK, "")
+        by_dist = {r["distribution"]: r for r in parse_csv(out)}
+        assert ("log-gaussian-matched" in by_dist) is matched
+        assert (float(by_dist["rayleigh"]["gamma2_full"]) > 1.0) is matched
 
     def test_grid_spec_parsing(self, capsys):
         code, out, _ = run(capsys, ["compare", "--pa-grid", "0.6:0.9:4", "--dists", "rayleigh", "--no-matched"])

@@ -259,6 +259,13 @@ class TestInRobustRegion:
         assert inside.verdict is Verdict.INSIDE
         assert outside.verdict is Verdict.OUTSIDE
 
+    @pytest.mark.parametrize("gamma", [(1e-200, 1.0), (1e200, 1.0), (1e200, 1e-200), (1e-160, 1e160)])
+    def test_factors_whose_squares_leave_the_doubles_are_outside(self, gamma):
+        # the squares overflow to infinite coefficients, which decide the
+        # verdict without a warning
+        problem = make_problem(n=2, pa=0.9, pb=0.05, mc=10_000, seed=1)
+        assert in_robust_region(problem, gamma).verdict is Verdict.OUTSIDE
+
     def test_permutation_symmetry(self):
         problem = make_problem(n=2, pa=0.85, pb=0.05)
         a = in_robust_region(problem, [1.2, 0.9])

@@ -124,6 +124,8 @@ class TestGaussianRadius:
             gaussian_l2_radius(1.0, 0.25)
         with pytest.raises(ValueError):
             gaussian_l2_radius(0.9, 0.0)
+        with pytest.raises(ValueError, match="sigma_gauss must be a positive finite real, got inf"):
+            gaussian_l2_radius(0.9, math.inf)
 
 
 class TestQuantileUpperConfidence:
@@ -559,6 +561,8 @@ class TestRealisticConfig:
             RealisticConfig(n_eps=1, n_gamma=1, sigma_gauss=-0.1, alpha=0.01)
         with pytest.raises(ValueError, match="n_gamma must be positive"):
             RealisticConfig(n_eps=1, n_gamma=0, sigma_gauss=0.1, alpha=0.01)
+        with pytest.raises(ValueError, match="sigma_gauss must be a positive finite real, got inf"):
+            RealisticConfig(n_eps=1, n_gamma=1, sigma_gauss=math.inf, alpha=0.01)
         for alpha in (0.0, 1.0):
             with pytest.raises(ValueError, match="alpha must lie in"):
                 RealisticConfig(n_eps=1, n_gamma=1, sigma_gauss=0.1, alpha=alpha)

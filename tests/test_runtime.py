@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from smoothcert import (
     ConstantClassifier,
-    HashLabelClassifier,
     LinearClassifier,
     SampleCounts,
     Side,
@@ -94,8 +93,9 @@ class TestSmoothedPredictCertify:
         expected = clopper_pearson(SampleCounts(100, 100), cfg.alpha, Side.LOWER)
         assert result.pa_lower == expected
 
-    def test_hash_classifier_abstains(self):
-        result = smoothed_predict_certify(HashLabelClassifier(10), np.array([0.3, 0.8]), config())
+    def test_even_odds_abstain(self):
+        # the threshold sits at the clean pixel: the exact smoothed probability is 1/2
+        result = smoothed_predict_certify(ThresholdOracle(0.5, 0.5), np.array([0.5]), config())
         assert result.abstained
         assert result.certificate is None
 
@@ -586,7 +586,8 @@ class TestSyntheticManifests:
         (tmp_path / "c.json").write_text(json.dumps({"type": "constant", "label": 2}))
         (tmp_path / "h.json").write_text(json.dumps({"type": "hash", "classes": 4}))
         assert isinstance(load_classifier(tmp_path / "c.json"), ConstantClassifier)
-        assert isinstance(load_classifier(tmp_path / "h.json"), HashLabelClassifier)
+        with pytest.raises(ValueError, match="h.json: unrecognized classifier manifest"):
+            load_classifier(tmp_path / "h.json")
 
     def test_negative_constant_label_is_rejected(self):
         with pytest.raises(ValueError, match="constant_label must be nonnegative, got -1"):
@@ -597,15 +598,3 @@ class TestSyntheticManifests:
         (tmp_path / "u.json").write_text(json.dumps({"type": "mystery"}))
         with pytest.raises(ValueError):
             load_classifier(tmp_path / "u.json")
-
-
-class TestHashClassifier:
-    def test_deterministic_and_scattered(self):
-        clf = HashLabelClassifier(10)
-        rng = np.random.default_rng(1)
-        batch = rng.uniform(0.0, 1.0, size=(500, 3))
-        labels = clf.labels(batch)
-        assert np.array_equal(labels, clf.labels(batch))
-        counts = np.bincount(labels, minlength=10)
-        assert counts.max() < 120  # roughly uniform across 10 classes
-        assert clf.descriptor == "hash(classes=10)"

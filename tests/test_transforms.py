@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from smoothcert import (
     BadMagicError,
     OutOfRangeError,
+    TensorFormatError,
     TruncatedPayloadError,
     conversion_error,
     gamma_correct,
@@ -207,6 +208,17 @@ class TestTensorFormat:
             back = read_tensor(path)
             assert back.shape == x.shape
             assert np.array_equal(back, x)
+
+    def test_writer_keeps_the_readers_ndim_rule(self, tmp_path):
+        x = np.full((1,) * 32, 0.25)
+        write_tensor(x, tmp_path / "d32.mst1")
+        back = read_tensor(tmp_path / "d32.mst1")
+        assert back.shape == x.shape and np.array_equal(back, x)
+        for ndim in (0, 33):
+            path = tmp_path / f"d{ndim}.mst1"
+            with pytest.raises(TensorFormatError, match=f"1 to 32 dimensions, got {ndim}"):
+                write_tensor(np.zeros((1,) * ndim), path)
+            assert not path.exists()
 
     def test_empty_file_is_bad_magic(self, tmp_path):
         path = tmp_path / "empty.mst1"
