@@ -116,14 +116,17 @@ class SmoothingDistribution:
         return float(out) if np.isscalar(p) else out
 
     def sample(self, sampler: SeededSampler, count: int, start: int = 0) -> np.ndarray:
-        """``count`` i.i.d. draws at absolute draw indices ``start..``.
+        """``count`` i.i.d. draws at absolute draw indices ``start..``, each strictly positive.
 
         Inverse-CDF transform of the sampler's uniform stream, so the result
         is a pure function of ``(sampler.seed, sampler.stream_index, start)``.
+        A draw that underflows to 0 (e**-1000, say) becomes the least positive
+        double, and x to that power is still 1 on (0, 1] and 0 at 0.
         """
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        return self.quantile(sampler.uniforms(count, start))
+        draws = self.quantile(sampler.uniforms(count, start))
+        return np.maximum(draws, math.ulp(0.0), out=draws)
 
     # Underlying symmetric additive laws (zero-centered, scale = self.scale).
 

@@ -38,8 +38,8 @@ __all__ = ["SeededSampler"]
 # consumes exactly one word per double.
 _WORDS_PER_BLOCK = 4
 
-# Keeps inverse-CDF images strictly inside positive supports (quantile(0) can
-# sit on the support boundary).
+# Keeps every uniform off 0, where quantile(0) sits on the support boundary; an
+# image that still underflows to 0 is lifted back by SmoothingDistribution.sample.
 _MIN_UNIFORM = 2.0**-64
 
 # Below this many elements a split costs more than it saves.

@@ -117,18 +117,20 @@ class ThresholdOracle(BaseClassifier):
 
 @dataclass(frozen=True)
 class ConstantClassifier(BaseClassifier):
-    constant_label: int = 0
+    """Labels every input ``label``, which lies in [0, 2**63) so that an int64 label array holds it."""
+
+    label: int = 0
 
     def __post_init__(self) -> None:
-        if self.constant_label < 0:
-            raise ValueError(f"constant_label must be nonnegative, got {self.constant_label}")
+        if not 0 <= self.label < 2**63:
+            raise ValueError(f"label must lie in [0, 2**63), got {self.label}")
 
     def labels(self, batch: np.ndarray) -> np.ndarray:
-        return np.full(batch.shape[0], self.constant_label, dtype=int)
+        return np.full(batch.shape[0], self.label, dtype=int)
 
     @property
     def descriptor(self) -> str:
-        return f"constant(label={self.constant_label})"
+        return f"constant(label={self.label})"
 
 
 @dataclass(frozen=True)
@@ -239,11 +241,7 @@ def _linear(directory: Path, weights: str, bias: str, classes: int) -> LinearCla
     return classifier
 
 
-def _constant(label: int) -> ConstantClassifier:
-    return ConstantClassifier(label)
-
-
-_SYNTHETIC = {"threshold": ThresholdOracle, "constant": _constant}
+_SYNTHETIC = {"threshold": ThresholdOracle, "constant": ConstantClassifier}
 
 
 def load_classifier(manifest_path) -> BaseClassifier:

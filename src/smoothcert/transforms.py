@@ -18,9 +18,6 @@ import numpy as np
 
 __all__ = [
     "TensorFormatError",
-    "BadMagicError",
-    "TruncatedPayloadError",
-    "OutOfRangeError",
     "validate_image",
     "gamma_correct",
     "gamma_correct_batch",
@@ -34,19 +31,7 @@ _MAX_NDIM = 32
 
 
 class TensorFormatError(ValueError):
-    """Base class for tensor-file parse failures."""
-
-
-class BadMagicError(TensorFormatError):
-    """File does not start with the MST1 magic bytes."""
-
-
-class TruncatedPayloadError(TensorFormatError):
-    """Header or payload size does not match the declared dimensions."""
-
-
-class OutOfRangeError(TensorFormatError):
-    """Tensor entries fall outside [0, 1]."""
+    """An MST1 file, or a tensor to be written as one, that the format cannot hold."""
 
 
 def validate_image(x) -> np.ndarray:
@@ -57,7 +42,7 @@ def validate_image(x) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("image tensor entries must be finite")
     if arr.min() < 0.0 or arr.max() > 1.0:
-        raise OutOfRangeError(
+        raise ValueError(
             f"image tensor entries must lie in [0, 1], found range "
             f"[{arr.min():.6g}, {arr.max():.6g}]"
         )
@@ -148,26 +133,24 @@ def read_tensor(path) -> np.ndarray:
     """Read an MST1 tensor; round-trips :func:`write_tensor` bit-exactly."""
     data = Path(path).read_bytes()
     if len(data) < 4 or data[:4] != _MAGIC:
-        raise BadMagicError(f"{path}: not an MST1 file (bad or missing magic)")
+        raise TensorFormatError(f"{path}: not an MST1 file (bad or missing magic)")
     if len(data) < 8:
-        raise TruncatedPayloadError(f"{path}: header cut short before ndim")
+        raise TensorFormatError(f"{path}: header cut short before ndim")
     (ndim,) = struct.unpack_from("<I", data, 4)
     if not 1 <= ndim <= _MAX_NDIM:
-        raise TruncatedPayloadError(f"{path}: implausible ndim {ndim}")
+        raise TensorFormatError(f"{path}: implausible ndim {ndim}")
     header_end = 8 + 4 * ndim
     if len(data) < header_end:
-        raise TruncatedPayloadError(f"{path}: header cut short before dims")
+        raise TensorFormatError(f"{path}: header cut short before dims")
     dims = struct.unpack_from(f"<{ndim}I", data, 8)
     if any(d == 0 for d in dims):
-        raise TruncatedPayloadError(f"{path}: zero-sized dimension in {dims}")
+        raise TensorFormatError(f"{path}: zero-sized dimension in {dims}")
     count = math.prod(dims)  # Python integers: a fixed-width product can wrap to a small count
     expected = header_end + 8 * count
     if len(data) != expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload is {len(data) - header_end} bytes, expected {8 * count}"
-        )
+        raise TensorFormatError(f"{path}: payload is {len(data) - header_end} bytes, expected {8 * count}")
     arr = np.frombuffer(data, dtype="<f8", offset=header_end, count=count).reshape(dims)
     if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
-        raise OutOfRangeError(f"{path}: entries outside [0, 1]")
+        raise TensorFormatError(f"{path}: entries outside [0, 1]")
     return arr.astype(float, copy=True)
 

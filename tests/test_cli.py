@@ -258,8 +258,12 @@ class TestSmooth:
 
     @pytest.mark.parametrize(
         "manifest,field",
-        [({"type": "constant", "label": -1}, "'label'")],
-        ids=["constant-label"],
+        [
+            ({"type": "constant", "label": -1}, "'label'"),
+            ({"type": "constant", "label": 2**63}, "'label'"),
+            ({"type": "constant", "label": 1e300}, "'label'"),
+        ],
+        ids=["constant-label", "label-two-to-the-63", "label-1e300"],
     )
     def test_range_errors_name_the_manifest_and_field(self, capsys, oracle_workspace, manifest, field):
         (oracle_workspace / "ranged.json").write_text(json.dumps(manifest))
@@ -273,6 +277,31 @@ class TestSmooth:
             ],
         )
         TestRealisticCommand._assert_one_error_line(code, out, err, "ranged.json", field)
+
+    @pytest.mark.parametrize(
+        "dist,scale,n,exit_code",
+        [
+            ("log-laplace", "60", "1000000", EXIT_ABSTAIN),
+            ("log-uniform", "1000", "1000", EXIT_ABSTAIN),
+            ("inv-rayleigh", "1e308", "1000", EXIT_OK),
+        ],
+    )
+    def test_factor_draws_that_underflow_to_zero_still_smooth(
+        self, capsys, oracle_workspace, dist, scale, n, exit_code
+    ):
+        # some draws at these scales round to 0, outside every law's support
+        code, out, err = run(
+            capsys,
+            [
+                "smooth",
+                "--input", str(oracle_workspace / "x.mst1"),
+                "--classifier", str(oracle_workspace / "oracle.json"),
+                "--n", n, "--alpha", "0.001", "--dist", dist, "--scale", scale, "--seed", "0",
+            ],
+        )
+        assert (code, err) == (exit_code, "")
+        result = json.loads(out)["result"]
+        assert (result["certificate"] is None) == (exit_code == EXIT_ABSTAIN)
 
     @pytest.mark.parametrize("dist", ["rayleigh", "inv-rayleigh"])
     def test_scaled_rayleigh_certificate_names_the_law_run(self, capsys, oracle_workspace, dist):
@@ -525,6 +554,8 @@ class TestRealisticCommand:
             ({"type": "threshold", "pixel_value": None, "threshold": 0.25}, "'pixel_value'"),
             ({"type": "constant", "label": 1.5}, "'label'"),
             ({"type": "constant", "label": "3"}, "'label'"),
+            ({"type": "constant", "label": 2**63}, "'label'"),
+            ({"type": "constant", "label": 1e300}, "'label'"),
             ({"weights": None, "bias": "b.mst1", "classes": 2}, "'weights'"),
             ({"type": []}, "unrecognized"),
             ({"type": "constant", "label": 1, "bogus": 1}, "'bogus'"),
@@ -532,7 +563,7 @@ class TestRealisticCommand:
             ({"type": "linear", "weights": "w.mst1", "bias": "b.mst1", "classes": 2}, "'type'"),
         ],
         ids=[
-            "list", "null", "fraction", "string", "null-path", "unhashable-type",
+            "list", "null", "fraction", "string", "two-to-the-63", "1e300", "null-path", "unhashable-type",
             "unknown-field", "field-of-another-classifier", "tagged-linear",
         ],
     )

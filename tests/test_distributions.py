@@ -178,6 +178,24 @@ class TestSampling:
         with pytest.raises(ValueError):
             rayleigh().sample(SeededSampler(1), 0)
 
+    @pytest.mark.parametrize(
+        "law",
+        [
+            rayleigh(RayleighParams(5e-324)),
+            inverse_rayleigh(RayleighParams(1e308)),
+            log_gaussian(400.0),
+            log_laplace(100.0),
+            log_uniform(1000.0),
+        ],
+        ids=lambda law: law.descriptor,
+    )
+    def test_draws_that_underflow_become_the_least_positive_double(self, law):
+        sampler = SeededSampler(0)
+        images = law.quantile(sampler.uniforms(100_000))
+        assert (images == 0.0).any()  # at this scale some inverse-CDF images underflow
+        draws = law.sample(sampler, 100_000)
+        assert np.array_equal(draws, np.where(images > 0.0, images, math.ulp(0.0)))
+
 
 # sha256 of the raw float64 bytes of SeededSampler(seed, stream).uniforms(count,
 # start), recorded with numpy 2.4; any change to the stream must keep every bit.

@@ -12,6 +12,7 @@ from smoothcert import (
     Abstain,
     ConstantClassifier,
     ErrorBudget,
+    RayleighParams,
     RealisticConfig,
     SampleCounts,
     Side,
@@ -220,6 +221,12 @@ class TestEstimateConversionError:
         for interval in ((1.1, 1.3), (0.8, 0.95)):  # the attack interval of any budget straddles 1
             with pytest.raises(ValueError, match="gamma interval must straddle 1"):
                 estimate_conversion_error([np.array([0.5])] * 50, interval, 0.9, 0.05)
+
+    def test_factor_draws_that_underflow_to_zero_are_taken(self):
+        law = inverse_rayleigh(RayleighParams(1e308))
+        assert (law.quantile(SeededSampler(0).uniforms(44)) == 0.0).any()
+        dataset = [np.array([0.5, 0.2])] * 44
+        assert 0.0 <= estimate_conversion_error(dataset, GAMMA_INTERVAL, 0.9, 0.01, seed=0, dist=law) < math.inf
 
     def test_interval_end_must_be_finite(self):
         with pytest.raises(ValueError, match="gamma interval"):
@@ -448,6 +455,13 @@ class TestCertifyRealistic:
         result = certify_realistic(ConstantClassifier(1), np.array([0.5]), cfg, budget, dist=law)
         assert result.label == 1 and result.adjusted is not None
         assert result.certificate == certify_for(law, result.adjusted).clipped(*budget.gamma_interval)
+
+    def test_factor_draws_that_underflow_to_zero_are_smoothed(self):
+        # 1 / (1e308 * sqrt(-2 ln u)) rounds to 0 wherever the square root exceeds about 1.8
+        law = inverse_rayleigh(RayleighParams(1e308))
+        cfg = RealisticConfig(n_eps=50, n_gamma=200, sigma_gauss=0.25, alpha=0.001, seed=6)
+        result = certify_realistic(ConstantClassifier(1), np.array([0.5]), cfg, make_budget(E=0.0), dist=law)
+        assert result.label == 1 and result.counts == SampleCounts(200, 200)
 
     def test_certificate_is_clipped_to_the_attack_interval(self):
         cfg = RealisticConfig(n_eps=50, n_gamma=300, sigma_gauss=0.25, alpha=0.001, seed=6)

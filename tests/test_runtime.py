@@ -590,9 +590,19 @@ class TestSyntheticManifests:
             load_classifier(tmp_path / "h.json")
 
     def test_negative_constant_label_is_rejected(self):
-        with pytest.raises(ValueError, match="constant_label must be nonnegative, got -1"):
+        with pytest.raises(ValueError, match=r"label must lie in \[0, 2\*\*63\), got -1"):
             ConstantClassifier(-1)
-        assert ConstantClassifier(0).constant_label == 0
+        assert ConstantClassifier(0).label == 0
+
+    def test_constant_label_must_fit_a_label_array(self):
+        with pytest.raises(ValueError, match=r"label must lie in \[0, 2\*\*63\), got 9223372036854775808"):
+            ConstantClassifier(2**63)
+        assert ConstantClassifier(2**63 - 1).labels(np.zeros((2, 1))).tolist() == [2**63 - 1] * 2
+
+    def test_every_manifest_type_is_a_classifier_class(self):
+        # a manifest's fields are its classifier's parameters: no adapter in between
+        for make in runtime._SYNTHETIC.values():
+            assert isinstance(make, type) and issubclass(make, runtime.BaseClassifier), make
 
     def test_unknown_manifest(self, tmp_path):
         (tmp_path / "u.json").write_text(json.dumps({"type": "mystery"}))

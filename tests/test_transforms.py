@@ -10,10 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from smoothcert import (
-    BadMagicError,
-    OutOfRangeError,
     TensorFormatError,
-    TruncatedPayloadError,
     conversion_error,
     gamma_correct,
     gamma_correct_batch,
@@ -54,8 +51,10 @@ class TestGammaCorrect:
             gamma_correct(np.array([0.5]), 0.0)
 
     def test_rejects_out_of_range_input(self):
-        with pytest.raises(OutOfRangeError):
+        # an in-memory array is no MST1 file: its range error is a plain ValueError
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]") as caught:
             gamma_correct(np.array([1.5]), 1.0)
+        assert not isinstance(caught.value, TensorFormatError)
         with pytest.raises(ValueError, match="nonempty"):
             gamma_correct(np.array([]), 1.0)
         with pytest.raises(ValueError, match="finite"):
@@ -223,13 +222,13 @@ class TestTensorFormat:
     def test_empty_file_is_bad_magic(self, tmp_path):
         path = tmp_path / "empty.mst1"
         path.write_bytes(b"")
-        with pytest.raises(BadMagicError):
+        with pytest.raises(TensorFormatError, match="bad or missing magic"):
             read_tensor(path)
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "wrong.mst1"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(BadMagicError):
+        with pytest.raises(TensorFormatError, match="bad or missing magic"):
             read_tensor(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -237,7 +236,7 @@ class TestTensorFormat:
         write_tensor(np.array([0.1, 0.2, 0.3]), path)
         data = path.read_bytes()
         path.write_bytes(data[:-8])
-        with pytest.raises(TruncatedPayloadError):
+        with pytest.raises(TensorFormatError, match="payload is 16 bytes, expected 24"):
             read_tensor(path)
 
     @pytest.mark.parametrize(
@@ -254,30 +253,31 @@ class TestTensorFormat:
     def test_short_or_empty_header_is_truncated(self, tmp_path, header, message):
         path = tmp_path / "head.mst1"
         path.write_bytes(b"MST1" + header)
-        with pytest.raises(TruncatedPayloadError, match=message):
+        with pytest.raises(TensorFormatError, match=message):
             read_tensor(path)
 
     def test_header_whose_element_count_overflows_64_bits(self, tmp_path):
         # 65536**4 = 2**64 entries: a 64-bit product wraps to 0, which the header-only file matches
         path = tmp_path / "huge.mst1"
         path.write_bytes(b"MST1" + struct.pack("<5I", 4, 65536, 65536, 65536, 65536))
-        with pytest.raises(TruncatedPayloadError, match="huge.mst1: payload is 0 bytes"):
+        with pytest.raises(TensorFormatError, match="huge.mst1: payload is 0 bytes"):
             read_tensor(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "long.mst1"
         write_tensor(np.array([0.1]), path)
         path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(TruncatedPayloadError):
+        with pytest.raises(TensorFormatError, match="payload is 9 bytes, expected 8"):
             read_tensor(path)
 
     def test_out_of_range_entry(self, tmp_path):
         path = tmp_path / "range.mst1"
         payload = b"MST1" + struct.pack("<II", 1, 1) + struct.pack("<d", 1.5)
         path.write_bytes(payload)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(TensorFormatError, match="entries outside"):
             read_tensor(path)
 
     def test_write_rejects_out_of_range(self, tmp_path):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]") as caught:
             write_tensor(np.array([-0.1]), tmp_path / "neg.mst1")
+        assert not isinstance(caught.value, TensorFormatError)
