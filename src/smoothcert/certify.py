@@ -263,7 +263,7 @@ def log_space_radius(dist: SmoothingDistribution, bounds: ProbBounds) -> Certifi
     each law (Gaussian: half the quantile gap; Laplace: -scale*ln(2(1-pa)),
     trivial runner-up; uniform on [-scale, scale]: scale*(pa - pb)), and the
     returned interval is (exp(-R), exp(R)), rounded inward.  For the Gaussian
-    radius pb = 0 gives the exact limit (0, inf).
+    radius pb = 0 gives the exact limit (0, inf); a finite R past the doubles clamps.
     """
     if not dist.kind.log_space:
         raise ValueError(f"not a log-space kind: {dist.kind!r}")
@@ -282,6 +282,8 @@ def log_space_radius(dist: SmoothingDistribution, bounds: ProbBounds) -> Certifi
             radius, size = za - zb, abs(za) + abs(zb)
         else:
             radius = size = scale * (pa - pb)
+    if pb > 0.0 or dist.kind is not Kind.LOG_GAUSSIAN:  # the exact R is finite: inf or NaN here is an overflow
+        radius, size = (v if v <= sys.float_info.max else sys.float_info.max for v in (radius, size))
 
     lo, hi = _inward(-radius, size), _inward(radius, size)
     return Certificate(lo, hi, Method.LOG_SPACE, dist.descriptor, bounds.confidence)

@@ -236,10 +236,9 @@ def cmd_realistic(args: argparse.Namespace) -> _Run:
     cfg = RealisticConfig.load(args.config)
     x = read_tensor(args.input)
     base = load_classifier(args.classifier)
-    if not budget.feasible:
-        print(f"warning: rho={budget.rho} >= 1/2, certification will abstain", file=sys.stderr)
-
     result = certify_realistic(base, x, cfg, budget)
+    if not budget.feasible:  # only once certify_realistic has accepted the budget
+        print(f"warning: rho={budget.rho} >= 1/2, certification will abstain", file=sys.stderr)
     payload = {
         "classifier": base.descriptor,
         **_prediction_json(result),

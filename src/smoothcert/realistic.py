@@ -12,6 +12,7 @@ is clipped to the attack interval the error bound was measured on.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -20,10 +21,10 @@ from typing import Sequence
 import numpy as np
 from scipy.special import bdtrc, ndtri
 
-from .certify import Abstain, ProbBounds, SampleCounts, certify_for
+from .certify import Abstain, ProbBounds, SampleCounts, Side, certify_for, clopper_pearson
 from .distributions import SmoothingDistribution, rayleigh
 from .rng import SeededSampler, _split
-from .runtime import BaseClassifier, PredictionResult, _bounds, _read_manifest, _tally
+from .runtime import BaseClassifier, PredictionResult, _bounds, _read_manifest, _tally, _top
 from .transforms import conversion_error, gamma_correct, validate_image
 
 __all__ = [
@@ -245,6 +246,16 @@ def estimate_conversion_error(
     return quantile_upper_confidence(maxima, q_E, alpha_E)
 
 
+def _hit_threshold(n_eps: int, alpha: float, sigma_gauss: float, E: float) -> int:
+    """The least top count of n_eps inner draws whose l2 radius reaches ``E`` (bisected: radii rise), else n_eps + 1."""
+
+    def covers(hits: int) -> bool:
+        radius = gaussian_l2_radius(clopper_pearson(SampleCounts(hits, n_eps), alpha, Side.LOWER), sigma_gauss)
+        return not isinstance(radius, Abstain) and radius >= E
+
+    return bisect.bisect_left(range(1, n_eps + 1), True, key=covers) + 1
+
+
 def _noisy_rows(sampler: SeededSampler, start: int, sigma: float, out: np.ndarray, image: np.ndarray) -> None:
     """Writes ``image`` plus draws ``start..`` of N(0, sigma^2) noise into the rows of ``out``.
 
@@ -267,50 +278,40 @@ def certify_realistic(
 ) -> PredictionResult:
     """Certify through the double-smoothing pipeline and clip to the attack interval.
 
-    For each factor draw, the inner Gaussian-smoothed prediction contributes a
-    vote only when its own lower bound clears 1/2 *and* its certified l2
-    radius covers the conversion-error bound; anything less counts as a miss.
-    The outer hit count gives a Clopper-Pearson bound, shifted by the budget
-    total, certified by the rule of the factor law ``dist`` (Rayleigh when
-    omitted) through :func:`certify_for`, and clipped.  The inner and the
-    outer bounds both come from the one vote-to-bounds body of
-    :mod:`smoothcert.runtime`.  Any law works; pass the one the budget's ``E``
-    was measured under.  The certification-time alpha is the single
-    confidence knob: both the inner and outer binomial bounds spend it, and it
-    must be the alpha the budget's rho was computed from.
+    A factor draw votes its top inner label when that label's count reaches
+    :func:`_hit_threshold`, so that it certifies an l2 radius covering the
+    conversion-error bound; no row is labelled when no count can.  Factor
+    draws are made per chunk and each tally is dropped once it has voted.
+    The outer hit count gives a bound pair through the vote-to-bounds body
+    of :mod:`smoothcert.runtime`, shifted by the budget total, certified by
+    the rule of the factor law ``dist`` (Rayleigh when omitted) through
+    :func:`certify_for`, and clipped.  Pass the law the budget's ``E`` was
+    measured under.  Both binomial bounds spend the certification-time
+    alpha, which must be the alpha the budget's rho was computed from.
     """
     arr = validate_image(x)
     expected_rho = error_budget(cfg.alpha, budget.q_E, budget.alpha_E)
     if abs(expected_rho - budget.rho) > 1e-9:
-        raise ValueError(
-            f"budget.rho={budget.rho} does not match alpha={cfg.alpha} "
-            f"(expected {expected_rho})"
-        )
+        raise ValueError(f"budget.rho={budget.rho} does not match alpha={cfg.alpha} (expected {expected_rho})")
     if not budget.feasible:
         return PredictionResult(None, 0.0, None, None, reason=f"rho={budget.rho} >= 1/2 always abstains")
 
     n_eps = cfg.n_eps
-
-    def vote(tally: Counter) -> int | None:  # the top inner label if it certifies an l2 radius of at least E
-        label, _, pa_lower, _ = _bounds(tally, tally, n_eps, cfg.alpha)
-        radius = gaussian_l2_radius(pa_lower, cfg.sigma_gauss)
-        return label if not isinstance(radius, Abstain) and radius >= budget.E else None
-
+    threshold = _hit_threshold(n_eps, cfg.alpha, cfg.sigma_gauss, budget.E)
     no_vote = PredictionResult(
         None, 0.0, None, SampleCounts(0, cfg.n_gamma), reason="no factor draw produced a robust inner vote"
     )
-    if vote(Counter({0: n_eps})) is None:  # the radius rises with the count, so no factor draw can vote
+    if threshold > n_eps:  # no factor draw can vote
         return no_vote
     law = dist or rayleigh()
     sampler = SeededSampler(cfg.seed)
-    factors = law.sample(sampler.stream(0), cfg.n_gamma)
 
     def rows(lo: int, hi: int) -> np.ndarray:
-        # Row j * n_eps + i is inner draw i under factor draw j: stream j + 1
-        # at draw index i, shifted by the j-th transformed image.  Images and
-        # streams are made here, on the calling thread, for this chunk only.
+        # Row j * n_eps + i is inner draw i under factor draw j: stream j + 1 at draw index i
+        # plus image j.  This chunk's factors, images and streams are made on the calling thread.
         draws = range(lo // n_eps, (hi - 1) // n_eps + 1)
-        images = {j: gamma_correct(arr, float(factors[j])) for j in draws}
+        factors = law.sample(sampler.stream(0), len(draws), draws.start)
+        images = {j: gamma_correct(arr, float(factor)) for j, factor in zip(draws, factors)}
         streams = {j: sampler.stream(j + 1) for j in draws}
         out = np.empty((hi - lo,) + arr.shape)
 
@@ -322,8 +323,8 @@ def certify_realistic(
         _split(build, hi - lo, arr.size)
         return out
 
-    inner = map(vote, _tally(base, rows, cfg.n_gamma * n_eps, arr.size, n_eps))
-    robust = Counter(label for label in inner if label is not None)  # the outer votes
+    tops = map(_top, _tally(base, rows, cfg.n_gamma * n_eps, arr.size, n_eps))
+    robust = Counter(label for label, count in tops if count >= threshold)  # the outer votes
     if not robust:
         return no_vote
     label, outer, pa_lower, pb_upper = _bounds(robust, robust, cfg.n_gamma, cfg.alpha)

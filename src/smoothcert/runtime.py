@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, get_origin
+from typing import Callable, Iterator, get_origin
 
 import numpy as np
 
@@ -311,19 +311,20 @@ class PredictionResult:
 
 def _tally(
     base: BaseClassifier, rows: Callable[[int, int], np.ndarray], n: int, width: int, group: int
-) -> list[Counter]:
-    """Label counts of draws 0..n-1 per group of ``group`` consecutive draws.
+) -> Iterator[Counter]:
+    """Label counts of draws 0..n-1 per group of ``group`` consecutive draws, yielded in order.
 
-    Item g counts the labels of draws g*group..(g+1)*group-1 by label, so it
-    grows with the distinct labels seen, never with their values.  ``rows(lo,
-    hi)`` builds the inputs of draws lo..hi-1, ``width`` doubles each, one chunk
-    at a time: at most one group per usable core (so a row builder can give
-    each core one group) and at most ``_TALLY_CAP`` doubles.  Draws are
-    addressed by index and labels are row-pure, so the counts are the same for
-    any chunking.  Labels other than nonnegative integers raise a ValueError.
+    Group g counts the labels of draws g*group..(g+1)*group-1 by label, so it
+    grows with the distinct labels seen, never with their values; it is
+    yielded once its last draw is labelled.  ``rows(lo, hi)`` builds the inputs
+    of draws lo..hi-1, ``width`` doubles each, one chunk at a time: at most one
+    group per usable core (so a row builder can give each core one group) and
+    at most ``_TALLY_CAP`` doubles.  Draws are addressed by index and labels are
+    row-pure, so the counts are the same for any chunking.  Labels other than
+    nonnegative integers raise a ValueError.
     """
     step = max(1, min(_TALLY_CAP // width, group * rng._usable_cores()))
-    tallies = [Counter() for _ in range(-(-n // group))]
+    tally = Counter()
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         labels = np.asarray(base.labels(rows(lo, hi)))
@@ -332,8 +333,10 @@ def _tally(
         # one part per group the chunk meets: cut where a group starts
         for g, part in enumerate(np.split(labels, range(group - lo % group, hi - lo, group)), lo // group):
             values, counts = np.unique(part, return_counts=True)
-            tallies[g].update(dict(zip(values.tolist(), counts.tolist())))
-    return tallies
+            tally.update(dict(zip(values.tolist(), counts.tolist())))
+            if (g + 1) * group <= hi or hi == n:  # the group's last draw is labelled
+                yield tally
+                tally = Counter()
 
 
 def _top(tally: Counter) -> tuple[int, int]:
@@ -358,7 +361,7 @@ def _bounds(selection: Counter, estimation: Counter, n: int, alpha: float) -> tu
 
 def _factor_tally(base, arr, dist, sampler, n, transform) -> Counter:
     """Label counts of ``transform(arr, factors)`` over n draws of ``dist`` from ``sampler``: one :func:`_tally` group."""
-    return _tally(base, lambda lo, hi: transform(arr, dist.sample(sampler, hi - lo, lo)), n, arr.size, n)[0]
+    return next(_tally(base, lambda lo, hi: transform(arr, dist.sample(sampler, hi - lo, lo)), n, arr.size, n))
 
 
 def smoothed_predict_certify(

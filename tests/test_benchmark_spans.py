@@ -13,7 +13,6 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Targets the library no longer defines: a benchmark change may drop them.
 KNOWN_ABSENT = {
-    "smoothcert.realistic.clopper_pearson",
     "smoothcert.runtime.certify_rayleigh_closed_form",
     "smoothcert.runtime.certify_inverse_rayleigh",
     "smoothcert.runtime.log_space_radius",

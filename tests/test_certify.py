@@ -590,6 +590,29 @@ class TestLogSpaceRadius:
         else:
             assert cert.gamma2 > 1e308
 
+    @pytest.mark.parametrize(
+        "law, bounds",
+        [
+            (log_gaussian, ProbBounds(0.999, 0.05)),  # R overflows to inf
+            (log_gaussian, ProbBounds(0.99999999, 0.9999999)),  # both terms overflow: inf - inf is NaN
+            (log_gaussian, ProbBounds(0.9999999, 1e-300)),
+            (log_laplace, ProbBounds.with_trivial_pb(0.999)),
+            (log_laplace, ProbBounds(0.999, 0.0)),  # the Laplace radius takes no pb
+        ],
+        ids=["gaussian", "gaussian-nan", "gaussian-tiny-pb", "laplace", "laplace-zero-pb"],
+    )
+    def test_a_finite_radius_that_overflows_is_clamped(self, law, bounds):
+        # the exact radius is finite, so the interval is bounded: it is
+        # clamped like any other endpoint beyond the doubles
+        cert = certify_for(law(1e308), bounds)
+        assert cert.gamma1 == sys.float_info.min and 1e308 < cert.gamma2 < math.inf
+        assert not cert.unbounded
+
+    def test_gaussian_radius_at_zero_runner_up_stays_the_exact_limit(self):
+        for scale in (1.0, 1e308):
+            cert = certify_for(log_gaussian(scale), ProbBounds(0.999, 0.0))
+            assert (cert.gamma1, cert.gamma2) == (0.0, math.inf)
+
     def test_laplace_abstains_below_half(self):
         assert isinstance(log_space_radius(log_laplace(1.0), ProbBounds(0.45, 0.55)), Abstain)
 

@@ -134,6 +134,17 @@ class TestCert:
         if pb == "0" and dist in ("rayleigh", "inv-rayleigh", "log-gaussian"):
             assert (cert["gamma1"], cert["gamma2"], cert["unbounded"]) == (0.0, None, True)
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--pa", "0.999", "--pb", "0.05", "--dist", "log-gaussian"], ["--pa", "0.999", "--trivial-pb", "--dist", "log-laplace"]],
+        ids=["log-gaussian", "log-laplace"],
+    )
+    def test_a_finite_radius_past_the_doubles_stays_bounded(self, capsys, flags):
+        code, out, _ = run(capsys, ["cert", *flags, "--scale", "1e308", "--json"])
+        assert code == EXIT_OK
+        cert = json.loads(out)["result"]["certificate"]
+        assert cert["gamma1"] == sys.float_info.min and cert["gamma2"] > 1e308 and cert["unbounded"] is False
+
     def test_log_space_distributions(self, capsys):
         code, out, _ = run(capsys, ["cert", "--pa", "0.9", "--trivial-pb", "--dist", "log-laplace", "--json"])
         assert code == EXIT_OK
@@ -429,6 +440,20 @@ class TestRealisticCommand:
         assert code == EXIT_ABSTAIN
         assert json.loads(out)["result"]["abstained"] is True
         assert "warning" in err
+        # a config whose alpha the budget was not computed from is an error, with no warning before it
+        mismatched = RealisticConfig(n_eps=40, n_gamma=50, sigma_gauss=0.05, alpha=0.01, seed=3)
+        (workspace / "fatcfg.json").write_text(json.dumps(mismatched.to_json()))
+        code, out, err = run(
+            capsys,
+            [
+                "realistic",
+                "--budget", str(workspace / "fat.json"),
+                "--config", str(workspace / "fatcfg.json"),
+                "--input", str(workspace / "x.mst1"),
+                "--classifier", str(workspace / "constant.json"),
+            ],
+        )
+        self._assert_one_error_line(code, out, err, "budget.rho=0.7", "does not match alpha=0.01")
 
     def test_budget_schema_validates_inputs(self, workspace):
         budget_doc = json.loads((workspace / "budget.json").read_text())

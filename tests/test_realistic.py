@@ -2,6 +2,7 @@ import hashlib
 import math
 import threading
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -361,11 +362,11 @@ def test_realistic_result_does_not_depend_on_the_chunking(monkeypatch, tmp_path,
     bright = BrightnessLabels(388)
     tops, top = [], runtime._top
     with monkeypatch.context() as patched:
-        patched.setattr(runtime, "_top", lambda tally: tops.append(dict(tally)) or top(tally))
+        for module in (runtime, realistic):
+            patched.setattr(module, "_top", lambda tally: tops.append(dict(tally)) or top(tally))
         bright_reference = certify_realistic(bright, x, cfg, budget)
-    assert tops[0] == {0: cfg.n_eps}  # the no-vote check
     if sigma == 1.0:  # label 0 shows in inner tallies, and the outer votes tie
-        assert any(0 in tally for tally in tops[1 : cfg.n_gamma + 1])
+        assert any(0 in tally for tally in tops[: cfg.n_gamma])
         assert tops[-1] == {2**40: 5, 2**62 - 1: 5} and bright_reference.counts.successes == 5
     # caps that cut factor draws mid-way, or leave the core count to decide
     n_eps = cfg.n_eps
@@ -380,8 +381,8 @@ def test_realistic_result_does_not_depend_on_the_chunking(monkeypatch, tmp_path,
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_realistic_request_splits_once_per_group_of_factor_draws(monkeypatch, tmp_path, cores):
-    # one split builds each group of draws and one scores it; one more fills
-    # the factor draws
+    # one split builds each group of draws, one scores it, and one fills
+    # the chunk's factor draws
     base, x, cfg, budget = _golden_realistic(tmp_path, 1.0)
     monkeypatch.setattr(rng, "_usable_cores", lambda: cores)
     calls = []
@@ -393,7 +394,7 @@ def test_realistic_request_splits_once_per_group_of_factor_draws(monkeypatch, tm
     for module in (rng, runtime, realistic):
         monkeypatch.setattr(module, "_split", counting)
     certify_realistic(base, x, cfg, budget)
-    assert len(calls) == 2 * math.ceil(cfg.n_gamma / cores) + 1
+    assert len(calls) == 3 * math.ceil(cfg.n_gamma / cores)
 
 
 def test_instrumented_calls_stay_on_the_calling_thread(monkeypatch, tmp_path):
@@ -560,6 +561,64 @@ class TestCertifyRealistic:
             assert counting.rows == rows, E
             assert (result == missed) == (rows == 0)
         assert result.label == 0 and result.counts == SampleCounts(60, 60)
+
+    def test_peak_memory_is_flat_in_the_factor_draws(self):
+        # one pixel and n_eps = 10: a tally or factor held per draw would grow
+        # the peak tenfold from 500 to 5,000 factor draws
+        oracle = ThresholdOracle(0.5, 0.45)
+        budget = make_budget(E=0.0)
+        certify_realistic(oracle, oracle.clean_input(), RealisticConfig(10, 50, 0.05, 0.001, seed=4), budget)
+        peaks = {}
+        for n_gamma in (500, 5_000):
+            cfg = RealisticConfig(n_eps=10, n_gamma=n_gamma, sigma_gauss=0.05, alpha=0.001, seed=4)
+            tracemalloc.start()
+            try:
+                result = certify_realistic(oracle, oracle.clean_input(), cfg, budget)
+                peaks[n_gamma] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert 0 < result.counts.successes < n_gamma  # some draws vote, some miss
+        assert peaks[5_000] <= 1.1 * peaks[500], peaks
+
+    @pytest.mark.parametrize("n_gamma", [50, 2_000])
+    @pytest.mark.parametrize("n_eps, alpha", [(1, 0.4), (2, 0.4), (3, 0.2), (10, 0.001), (64, 0.001), (101, 0.001)])
+    def test_clopper_pearson_solves_per_request_do_not_grow_with_the_draws(self, monkeypatch, n_gamma, n_eps, alpha):
+        # one pixel: the hit threshold is bisected over 1..n_eps, and the
+        # outer vote takes one more solve; every draw votes, except at n_eps =
+        # 1, where no count can and the request returns before any draw
+        solves = []
+
+        def counting(*args):
+            solves.append(args)
+            return clopper_pearson(*args)
+
+        for module in (runtime, realistic):
+            monkeypatch.setattr(module, "clopper_pearson", counting, raising=False)
+        cfg = RealisticConfig(n_eps=n_eps, n_gamma=n_gamma, sigma_gauss=0.25, alpha=alpha, seed=1)
+        budget = make_budget(E=0.0, q_E=1.0 - 1e-9, alpha_E=1e-9, alpha=alpha)
+        result = certify_realistic(ConstantClassifier(0), np.array([0.5]), cfg, budget)
+        assert result.counts == SampleCounts(n_gamma if n_eps > 1 else 0, n_gamma)
+        assert len(solves) <= math.ceil(math.log2(n_eps)) + 2, len(solves)
+
+    @pytest.mark.parametrize("n_eps", [1, 2, 3, 10, 50, 101])
+    @pytest.mark.parametrize("alpha", [1e-3, 0.1, 0.9])
+    @pytest.mark.parametrize("sigma", [1e-3, 0.25, 4.0])
+    def test_hit_threshold_is_the_per_draw_rule(self, n_eps, alpha, sigma):
+        # the rule as each factor draw applied it: the top inner label votes
+        # when its bound certifies an l2 radius of at least E
+        def radius(hits):
+            tally = Counter({0: hits})
+            return gaussian_l2_radius(runtime._bounds(tally, tally, n_eps, alpha)[2], sigma)
+
+        radii = {hits: radius(hits) for hits in range(1, n_eps + 1)}
+        reached = [r for r in radii.values() if not isinstance(r, Abstain)]
+        # E at every attained radius, just above each, and past them all
+        for E in {0.0, math.inf, *reached, *(math.nextafter(r, math.inf) for r in reached)}:
+            threshold = realistic._hit_threshold(n_eps, alpha, sigma, E)
+            for hits, r in radii.items():
+                assert (hits >= threshold) == (not isinstance(r, Abstain) and r >= E), (E, hits)
+        if (n_eps, alpha) == (2, 0.9):  # a 1-1 tie clears 1/2 and votes
+            assert realistic._hit_threshold(n_eps, alpha, sigma, 0.0) == 1
 
 
 class TestRealisticConfig:

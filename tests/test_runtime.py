@@ -390,7 +390,7 @@ class TestTally:
         cores = data.draw(st.integers(1, 4))
         base = IndexedLabels(table)
         with mock.patch.object(runtime, "_TALLY_CAP", cap), mock.patch("smoothcert.rng._usable_cores", lambda: cores):
-            sparse = runtime._tally(base, base.rows, n, 1, group)
+            sparse = list(runtime._tally(base, base.rows, n, 1, group))
             dense = dense_tally(base, base.rows, n, 1, group)
         assert len(sparse) == len(dense) == -(-n // group)
         for tally, row in zip(sparse, dense):
@@ -407,7 +407,7 @@ class TestTally:
     def test_labels_other_than_nonnegative_integers_are_rejected(self, table):
         base = IndexedLabels(table)
         with pytest.raises(ValueError, match="nonnegative integers"):
-            runtime._tally(base, base.rows, len(table), 1, len(table))
+            list(runtime._tally(base, base.rows, len(table), 1, len(table)))
 
     @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="reads the address-space size from procfs")
     def test_peak_memory_is_flat_in_the_label_value(self):
