@@ -12,9 +12,9 @@ inward-rounding step (:func:`_inward`), so no certificate claims more than the
 exact interval, down to floating-point rounding.  Also provided:
 exact one-sided Clopper-Pearson binomial bounds, computed as closed-form beta
 quantiles rounded outward so that they never claim more than the exact
-binomial tail allows; log-space certified intervals for the symmetric
-baseline laws; and :func:`certify_for`, the one dispatch from a smoothing law
-to its rule and the one body of the t-root rule and of its reciprocal for
+binomial tail allows; and :func:`certify_for`, the one dispatch from a
+smoothing law to its rule: the log-space certified interval of each symmetric
+baseline law, and the one body of the t-root rule and of its reciprocal for
 smoothing with 1/Rayleigh factors.
 """
 
@@ -40,7 +40,6 @@ __all__ = [
     "certify_rayleigh_closed_form",
     "certify_inverse_rayleigh",
     "clopper_pearson",
-    "log_space_radius",
     "certify_for",
 ]
 
@@ -256,7 +255,7 @@ def clopper_pearson(counts: SampleCounts, alpha: float, side: Side) -> float:
     raise ValueError(f"unknown side: {side!r}")
 
 
-def log_space_radius(dist: SmoothingDistribution, bounds: ProbBounds) -> Certificate | Abstain:
+def _log_space_radius(dist: SmoothingDistribution, bounds: ProbBounds) -> Certificate | Abstain:
     """Certified factor interval of a log-space law from its additive radius (base e).
 
     The additive radius R follows the standard one-dimensional results for
@@ -265,8 +264,6 @@ def log_space_radius(dist: SmoothingDistribution, bounds: ProbBounds) -> Certifi
     returned interval is (exp(-R), exp(R)), rounded inward.  For the Gaussian
     radius pb = 0 gives the exact limit (0, inf); a finite R past the doubles clamps.
     """
-    if not dist.kind.log_space:
-        raise ValueError(f"not a log-space kind: {dist.kind!r}")
     pa, pb, scale = bounds.pa_lower, bounds.pb_upper, dist.scale
 
     # size: the terms of R, whose rounding (ndtri within 8 ulps) stays below _LOG_TOL * size
@@ -299,7 +296,7 @@ def certify_for(dist: SmoothingDistribution, bounds: ProbBounds) -> Certificate 
     scale-free; every certificate names ``dist`` itself.
     """
     if dist.kind.log_space:
-        return log_space_radius(dist, bounds)
+        return _log_space_radius(dist, bounds)
     pa, pb = bounds.pa_lower, bounds.pb_upper
     if not bounds.certifiable:
         return Abstain(f"bounds do not separate: pa_lower={pa} <= pb_upper={pb}")

@@ -8,6 +8,9 @@ error, and that inner classifier is then smoothed over the multiplicative
 factor as usual.  Every estimation step spends part of a mistake budget; the
 final probability bounds are shifted by the budget total and the certificate
 is clipped to the attack interval the error bound was measured on.
+:func:`estimate_conversion_error` measures the bound, :class:`ErrorBudget`
+records it, and :func:`certify_realistic` spends it; the budget shift, the
+inner l2 radius and the sample-count rule are private steps of these.
 """
 
 from __future__ import annotations
@@ -31,9 +34,6 @@ __all__ = [
     "ErrorBudget",
     "RealisticConfig",
     "error_budget",
-    "adjust_probabilities",
-    "gaussian_l2_radius",
-    "min_samples_for_quantile_bound",
     "quantile_upper_confidence",
     "estimate_conversion_error",
     "certify_realistic",
@@ -145,44 +145,36 @@ class RealisticConfig:
         return _read_manifest(path, lambda doc: cls)
 
 
-def adjust_probabilities(pa_lower: float, pb_upper: float, rho: float) -> ProbBounds | Abstain:
+def _adjust_probabilities(pa_lower: float, pb_upper: float, rho: float) -> ProbBounds | Abstain:
     """Shift both bounds by the mistake budget: pa - rho versus pb + rho."""
-    if not rho >= 0.0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
     pa = pa_lower - rho
-    pb = pb_upper + rho
     if pa <= 0.5:
         return Abstain(f"adjusted pa_lower={pa:.6f} <= 1/2 (rho={rho})")
-    if pa <= pb:
-        return Abstain(f"adjusted bounds cross: {pa:.6f} <= {pb:.6f} (rho={rho})")
-    return ProbBounds(pa, pb, confidence=max(1.0 - rho, 0.0))
+    return ProbBounds(pa, pb_upper + rho, confidence=1.0 - rho)
 
 
-def gaussian_l2_radius(pa_lower: float, sigma_gauss: float) -> float | Abstain:
+def _gaussian_l2_radius(pa_lower: float, sigma_gauss: float) -> float | Abstain:
     """Certified l2 radius of Gaussian smoothing with the trivial runner-up bound."""
-    if not 0.0 < pa_lower < 1.0:
-        raise ValueError(f"pa_lower must lie in (0, 1), got {pa_lower}")
-    if not 0.0 < sigma_gauss < math.inf:
-        raise ValueError(f"sigma_gauss must be a positive finite real, got {sigma_gauss}")
     if pa_lower <= 0.5:
         return Abstain(f"pa_lower={pa_lower} <= 1/2: no l2 radius")
     return sigma_gauss * float(ndtri(pa_lower))
 
 
-def min_samples_for_quantile_bound(q: float, alpha: float) -> int:
-    """Smallest sample count for which an order statistic can bound the q-quantile.
+def _min_samples_for_quantile_bound(q_E: float, alpha_E: float) -> int:
+    """Smallest sample count for which an order statistic can bound the q_E-quantile.
 
-    Needs P(Bin(m, q) >= m) = q**m <= alpha, i.e. m >= ln(alpha) / ln(q).  The
-    count steps from that float estimate to the least m whose tail as
-    :func:`quantile_upper_confidence` reads it, ``bdtrc(m - 1, m, q)``, is at
-    most alpha, so the largest sample always qualifies at the returned count.
+    Needs P(Bin(m, q_E) >= m) = q_E**m <= alpha_E, i.e. m >= ln(alpha_E) / ln(q_E).
+    The count steps from that float estimate to the least m whose tail as
+    :func:`quantile_upper_confidence` reads it, ``bdtrc(m - 1, m, q_E)``, is
+    at most alpha_E, so the largest sample always qualifies at the returned count.
     """
-    if not 0.0 < q < 1.0 or not 0.0 < alpha < 1.0:
-        raise ValueError("q and alpha must lie in (0, 1)")
-    m = max(1, math.ceil(math.log(alpha) / math.log(q)))
-    while bdtrc(m - 1, m, q) > alpha:
+    for name, value in (("q_E", q_E), ("alpha_E", alpha_E)):
+        if not 0.0 < value < 1.0:
+            raise ValueError(f"{name} must lie in (0, 1), got {value}")
+    m = max(1, math.ceil(math.log(alpha_E) / math.log(q_E)))
+    while bdtrc(m - 1, m, q_E) > alpha_E:
         m += 1
-    while m > 1 and bdtrc(m - 2, m - 1, q) <= alpha:
+    while m > 1 and bdtrc(m - 2, m - 1, q_E) <= alpha_E:
         m -= 1
     return m
 
@@ -192,11 +184,19 @@ def quantile_upper_confidence(samples: Sequence[float], q: float, alpha: float) 
 
     Returns the k-th order statistic with k the smallest index whose
     binomial coverage argument P(Bin(m, q) >= k) <= alpha; the bound covers
-    the true quantile with probability at least 1 - alpha for any law.
+    the true quantile with probability at least 1 - alpha for any law.  The
+    range errors of ``q`` and ``alpha`` name them q_E and alpha_E, the roles
+    they play in the error budget.
     """
-    values = np.sort(np.asarray(samples, dtype=float))
+    values = np.asarray(samples, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"samples must be a 1-D array, got shape {values.shape}")
+    nan = np.isnan(values)
+    if nan.any():
+        raise ValueError(f"samples must not be NaN, got {nan.sum()} NaN of {values.size}")
+    values = np.sort(values)
     m = values.size
-    needed = min_samples_for_quantile_bound(q, alpha)
+    needed = _min_samples_for_quantile_bound(q, alpha)
     if m < needed:
         raise ValueError(
             f"need >= {needed} samples for a {q}-quantile bound at confidence "
@@ -233,7 +233,7 @@ def estimate_conversion_error(
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     tensors = [validate_image(x) for x in dataset]
-    needed = min_samples_for_quantile_bound(q_E, alpha_E)
+    needed = _min_samples_for_quantile_bound(q_E, alpha_E)
     if len(tensors) < needed:
         raise ValueError(
             f"need >= {needed} dataset tensors for q_E={q_E} at confidence "
@@ -250,7 +250,7 @@ def _hit_threshold(n_eps: int, alpha: float, sigma_gauss: float, E: float) -> in
     """The least top count of n_eps inner draws whose l2 radius reaches ``E`` (bisected: radii rise), else n_eps + 1."""
 
     def covers(hits: int) -> bool:
-        radius = gaussian_l2_radius(clopper_pearson(SampleCounts(hits, n_eps), alpha, Side.LOWER), sigma_gauss)
+        radius = _gaussian_l2_radius(clopper_pearson(SampleCounts(hits, n_eps), alpha, Side.LOWER), sigma_gauss)
         return not isinstance(radius, Abstain) and radius >= E
 
     return bisect.bisect_left(range(1, n_eps + 1), True, key=covers) + 1
@@ -329,7 +329,7 @@ def certify_realistic(
         return no_vote
     label, outer, pa_lower, pb_upper = _bounds(robust, robust, cfg.n_gamma, cfg.alpha)
 
-    adjusted = adjust_probabilities(pa_lower, pb_upper, budget.rho)
+    adjusted = _adjust_probabilities(pa_lower, pb_upper, budget.rho)
     if isinstance(adjusted, Abstain):
         return PredictionResult(None, pa_lower, None, outer, reason=adjusted.reason)
     outcome = certify_for(law, adjusted)

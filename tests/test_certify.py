@@ -30,10 +30,11 @@ from smoothcert import (
     clopper_pearson,
     log_gaussian,
     log_laplace,
-    log_space_radius,
     log_uniform,
     rayleigh,
 )
+
+from smoothcert.certify import _log_space_radius
 
 from explicit_rayleigh import certify_rayleigh_explicit
 
@@ -563,17 +564,17 @@ class TestCertifyFromCounts:
 
 class TestLogSpaceRadius:
     def test_gaussian_interval(self):
-        cert = log_space_radius(log_gaussian(1.0), ProbBounds.with_trivial_pb(0.93319))
+        cert = _log_space_radius(log_gaussian(1.0), ProbBounds.with_trivial_pb(0.93319))
         assert abs(math.log(cert.gamma2) - 1.5) < 1e-3
         assert abs(cert.gamma1 - 0.2231) < 1e-3
         assert abs(cert.gamma2 - 4.4817) < 2e-3
 
     def test_uniform_no_margin(self):
-        cert = log_space_radius(log_uniform(2.0), ProbBounds(0.5 + 1e-9, 0.5 - 1e-9))
+        cert = _log_space_radius(log_uniform(2.0), ProbBounds(0.5 + 1e-9, 0.5 - 1e-9))
         assert abs(math.log(cert.gamma2)) < 1e-6
 
     def test_laplace_half_doubling(self):
-        cert = log_space_radius(log_laplace(1.0), ProbBounds(0.75, 0.25))
+        cert = _log_space_radius(log_laplace(1.0), ProbBounds(0.75, 0.25))
         assert abs(cert.gamma1 - 0.5) < 1e-12
         assert abs(cert.gamma2 - 2.0) < 1e-12
 
@@ -614,16 +615,12 @@ class TestLogSpaceRadius:
             assert (cert.gamma1, cert.gamma2) == (0.0, math.inf)
 
     def test_laplace_abstains_below_half(self):
-        assert isinstance(log_space_radius(log_laplace(1.0), ProbBounds(0.45, 0.55)), Abstain)
+        assert isinstance(_log_space_radius(log_laplace(1.0), ProbBounds(0.45, 0.55)), Abstain)
 
     def test_laplace_abstains_at_half(self):
         # radius -ln(2 (1 - pa)) is 0 at pa = 1/2: the degenerate interval (1, 1)
-        assert isinstance(log_space_radius(log_laplace(1.0), ProbBounds(0.5, 0.5)), Abstain)
-        assert isinstance(log_space_radius(log_laplace(1.0), ProbBounds(0.5, 0.05)), Abstain)
-
-    def test_rejects_direct_kinds(self):
-        with pytest.raises(ValueError):
-            log_space_radius(rayleigh(), ProbBounds(0.9, 0.1))
+        assert isinstance(_log_space_radius(log_laplace(1.0), ProbBounds(0.5, 0.5)), Abstain)
+        assert isinstance(_log_space_radius(log_laplace(1.0), ProbBounds(0.5, 0.05)), Abstain)
 
     @pytest.mark.parametrize(
         "kind,scale,pa",
@@ -640,7 +637,7 @@ class TestLogSpaceRadius:
         The certified radius must put the worst-case adversarial probability
         above 1/2 just inside and below 1/2 just outside.
         """
-        cert = log_space_radius(SmoothingDistribution(kind, scale), ProbBounds.with_trivial_pb(pa))
+        cert = _log_space_radius(SmoothingDistribution(kind, scale), ProbBounds.with_trivial_pb(pa))
         radius = math.log(cert.gamma2)
         grid = np.linspace(-12.0 * scale, 12.0 * scale, 200_001)
         pdf = {
@@ -668,9 +665,9 @@ def _naming(rule):
 DIRECT_RULES = {
     Kind.RAYLEIGH: _naming(certify_rayleigh),
     Kind.INVERSE_RAYLEIGH: _naming(certify_inverse_rayleigh),
-    Kind.LOG_GAUSSIAN: log_space_radius,
-    Kind.LOG_LAPLACE: log_space_radius,
-    Kind.LOG_UNIFORM: log_space_radius,
+    Kind.LOG_GAUSSIAN: _log_space_radius,
+    Kind.LOG_LAPLACE: _log_space_radius,
+    Kind.LOG_UNIFORM: _log_space_radius,
 }
 
 

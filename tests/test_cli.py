@@ -676,6 +676,19 @@ class TestEstimateError:
         assert out == ""
         assert "need >= 3" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--qe", "1.0", "q_E must lie in (0, 1), got 1.0"), ("--alphae", "0.0", "alpha_E must lie in (0, 1), got 0.0")],
+        ids=["qe", "alphae"],
+    )
+    def test_out_of_range_rate_names_its_parameter_and_value(self, capsys, tmp_path, flag, value, message):
+        dataset = tmp_path / "data"
+        dataset.mkdir()
+        write_tensor(np.full(4, 0.5), dataset / "t.mst1")
+        argv = ["estimate-error", "--dataset", str(dataset), "--gamma-min", "0.71", "--gamma-max", "1.33"]
+        code, out, err = run(capsys, [*argv, "--qe", "0.9", "--alphae", "0.05", flag, value])
+        TestRealisticCommand._assert_one_error_line(code, out, err, message)
+
     def test_missing_dataset_exits_one(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

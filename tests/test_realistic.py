@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import threading
 import tracemalloc
 from collections import Counter
@@ -19,7 +20,6 @@ from smoothcert import (
     Side,
     SmoothingConfig,
     ThresholdOracle,
-    adjust_probabilities,
     certify_for,
     certify_rayleigh,
     certify_realistic,
@@ -27,18 +27,21 @@ from smoothcert import (
     conversion_error,
     error_budget,
     estimate_conversion_error,
-    gaussian_l2_radius,
     inverse_rayleigh,
     load_classifier,
     log_gaussian,
-    min_samples_for_quantile_bound,
     quantile_upper_confidence,
     rayleigh,
     read_tensor,
     smoothed_predict_certify,
 )
 from smoothcert import realistic, rng, runtime
-from smoothcert.realistic import _noisy_rows
+from smoothcert.realistic import (
+    _adjust_probabilities,
+    _gaussian_l2_radius,
+    _min_samples_for_quantile_bound,
+    _noisy_rows,
+)
 from smoothcert.rng import _SPLIT_MIN, SeededSampler
 from smoothcert.rng import _split as rng_split
 from smoothcert.runtime import BaseClassifier, PredictionResult
@@ -88,60 +91,53 @@ class TestErrorBudget:
 
 class TestAdjustProbabilities:
     def test_reference_shift(self):
-        bounds = adjust_probabilities(0.8, 0.2, 0.111)
+        bounds = _adjust_probabilities(0.8, 0.2, 0.111)
         assert abs(bounds.pa_lower - 0.689) < 1e-12
         assert abs(bounds.pb_upper - 0.311) < 1e-12
 
     def test_crossing_abstains(self):
-        assert isinstance(adjust_probabilities(0.6, 0.4, 0.111), Abstain)
-        # pa - rho = 0.75 clears 1/2 but not pb + rho = 0.85
-        assert "adjusted bounds cross" in adjust_probabilities(0.9, 0.7, 0.15).reason
+        # 0.489 versus 0.511: under the trivial runner-up bound pb = 1 - pa,
+        # shifted bounds cross only where pa - rho <= 1/2 already abstains
+        assert isinstance(_adjust_probabilities(0.6, 0.4, 0.111), Abstain)
 
     def test_zero_shift_is_identity(self):
-        bounds = adjust_probabilities(0.8, 0.2, 0.0)
+        bounds = _adjust_probabilities(0.8, 0.2, 0.0)
         assert (bounds.pa_lower, bounds.pb_upper) == (0.8, 0.2)
 
     def test_below_half_abstains(self):
-        assert isinstance(adjust_probabilities(0.55, 0.1, 0.1), Abstain)
-
-    def test_negative_rho_rejected(self):
-        with pytest.raises(ValueError):
-            adjust_probabilities(0.8, 0.2, -0.01)
+        assert isinstance(_adjust_probabilities(0.55, 0.1, 0.1), Abstain)
 
 
 class TestGaussianRadius:
     def test_vanishing_margin(self):
-        radius = gaussian_l2_radius(0.5 + 1e-12, 0.25)
+        radius = _gaussian_l2_radius(0.5 + 1e-12, 0.25)
         assert 0.0 <= radius < 1e-9
 
     def test_erf_reference_points(self):
-        assert abs(gaussian_l2_radius(0.93319, 0.25) - 0.375) < 1e-4
-        assert abs(gaussian_l2_radius(0.97725, 0.25) - 0.5) < 1e-4
+        assert abs(_gaussian_l2_radius(0.93319, 0.25) - 0.375) < 1e-4
+        assert abs(_gaussian_l2_radius(0.97725, 0.25) - 0.5) < 1e-4
 
     def test_below_half_abstains(self):
-        assert isinstance(gaussian_l2_radius(0.4, 0.25), Abstain)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            gaussian_l2_radius(1.0, 0.25)
-        with pytest.raises(ValueError):
-            gaussian_l2_radius(0.9, 0.0)
-        with pytest.raises(ValueError, match="sigma_gauss must be a positive finite real, got inf"):
-            gaussian_l2_radius(0.9, math.inf)
+        assert isinstance(_gaussian_l2_radius(0.4, 0.25), Abstain)
 
 
 class TestQuantileUpperConfidence:
     def test_minimum_sample_count(self):
-        assert min_samples_for_quantile_bound(0.9, 0.01) == 44
-        for q, alpha in ((0.0, 0.01), (1.0, 0.01), (0.9, 0.0), (0.9, 1.0)):
-            with pytest.raises(ValueError, match="q and alpha must lie in"):
-                min_samples_for_quantile_bound(q, alpha)
+        assert _min_samples_for_quantile_bound(0.9, 0.01) == 44
+        for q, alpha, message in [
+            (0.0, 0.01, "q_E must lie in (0, 1), got 0.0"),
+            (1.0, 0.01, "q_E must lie in (0, 1), got 1.0"),
+            (0.9, 0.0, "alpha_E must lie in (0, 1), got 0.0"),
+            (0.9, 1.0, "alpha_E must lie in (0, 1), got 1.0"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                _min_samples_for_quantile_bound(q, alpha)
 
     @pytest.mark.parametrize("q, alpha, count", [(0.1, 0.01, 3), (0.1, 0.001, 4), (0.2, 0.04, 3), (0.5, 0.1, 4)])
     def test_minimum_count_is_where_the_largest_sample_first_qualifies(self, q, alpha, count):
         # q**m sits on alpha at the float estimate m = ln(alpha) / ln(q) here;
         # the count is the least m whose tail P(Bin(m, q) >= m) is at most alpha
-        assert min_samples_for_quantile_bound(q, alpha) == count
+        assert _min_samples_for_quantile_bound(q, alpha) == count
         assert bdtrc(count - 1, count, q) <= alpha < bdtrc(count - 2, count - 1, q)
         assert quantile_upper_confidence(np.arange(1.0, count + 1), q, alpha) == count
         with pytest.raises(ValueError, match=f"need >= {count}"):
@@ -155,7 +151,25 @@ class TestQuantileUpperConfidence:
             m = 1
             while bdtrc(m - 1, m, q) > alpha:
                 m += 1
-            assert min_samples_for_quantile_bound(q, alpha) == m, (q, alpha)
+            assert _min_samples_for_quantile_bound(q, alpha) == m, (q, alpha)
+
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            (np.full(44, np.nan), "samples must not be NaN, got 44 NaN of 44"),
+            (np.r_[np.linspace(0.0, 1.0, 43), np.nan], "samples must not be NaN, got 1 NaN of 44"),
+            (np.zeros((44, 2)), "samples must be a 1-D array, got shape (44, 2)"),
+            (np.zeros((1, 44)), "samples must be a 1-D array, got shape (1, 44)"),
+        ],
+        ids=["all-nan", "one-nan", "columns", "one-row"],
+    )
+    def test_samples_that_are_not_one_row_of_numbers_are_rejected(self, samples, message):
+        # a NaN sample made the bound NaN, and a 2-D array raised IndexError
+        with pytest.raises(ValueError, match=re.escape(message)):
+            quantile_upper_confidence(samples, 0.9, 0.01)
+
+    def test_infinite_samples_give_an_infinite_bound(self):
+        assert quantile_upper_confidence(np.full(44, np.inf), 0.9, 0.01) == math.inf
 
     def test_insufficient_samples_error_names_the_count(self):
         with pytest.raises(ValueError, match="need >= 44"):
@@ -184,7 +198,7 @@ class TestQuantileUpperConfidence:
         # the same as scipy.stats' survival function picks
         for q in (0.5, 0.75, 0.9, 0.95, 0.99):
             for alpha in (1e-4, 1e-3, 0.01, 0.05, 0.2):
-                needed = min_samples_for_quantile_bound(q, alpha)
+                needed = _min_samples_for_quantile_bound(q, alpha)
                 for m in sorted({needed, needed + 1, needed + 7, 2 * needed, 257, 1000, 5000}):
                     if m < needed:
                         continue
@@ -444,7 +458,7 @@ class TestCertifyRealistic:
         assert result.label == 1
         assert result.counts == SampleCounts(200, 200)
         pa = clopper_pearson(SampleCounts(200, 200), cfg.alpha, Side.LOWER)
-        adjusted = adjust_probabilities(pa, 1.0 - pa, budget.rho)
+        adjusted = _adjust_probabilities(pa, 1.0 - pa, budget.rho)
         expected = certify_rayleigh(adjusted).clipped(*GAMMA_INTERVAL)
         assert abs(result.certificate.gamma1 - expected.gamma1) < 1e-12
         assert abs(result.certificate.gamma2 - expected.gamma2) < 1e-12
@@ -553,7 +567,7 @@ class TestCertifyRealistic:
         # can: an E just above it labels no row and abstains as when every
         # draw misses, and an E equal to it labels every row
         cfg = RealisticConfig(n_eps=50, n_gamma=60, sigma_gauss=0.05, alpha=0.001, seed=3)
-        reach = gaussian_l2_radius(clopper_pearson(SampleCounts(50, 50), cfg.alpha, Side.LOWER), cfg.sigma_gauss)
+        reach = _gaussian_l2_radius(clopper_pearson(SampleCounts(50, 50), cfg.alpha, Side.LOWER), cfg.sigma_gauss)
         missed = PredictionResult(None, 0.0, None, SampleCounts(0, 60), reason="no factor draw produced a robust inner vote")
         for E, rows in [(math.nextafter(reach, math.inf), 0), (reach, 50 * 60)]:
             counting = CountingLabels(ConstantClassifier(0))
@@ -583,9 +597,10 @@ class TestCertifyRealistic:
     @pytest.mark.parametrize("n_gamma", [50, 2_000])
     @pytest.mark.parametrize("n_eps, alpha", [(1, 0.4), (2, 0.4), (3, 0.2), (10, 0.001), (64, 0.001), (101, 0.001)])
     def test_clopper_pearson_solves_per_request_do_not_grow_with_the_draws(self, monkeypatch, n_gamma, n_eps, alpha):
-        # one pixel: the hit threshold is bisected over 1..n_eps, and the
-        # outer vote takes one more solve; every draw votes, except at n_eps =
-        # 1, where no count can and the request returns before any draw
+        # one pixel: the hit threshold is bisected over 1..n_eps in at most
+        # ceil(log2(n_eps + 1)) solves, and the outer vote takes one more;
+        # every draw votes, except at n_eps = 1, where no count can and the
+        # request returns before any draw
         solves = []
 
         def counting(*args):
@@ -598,7 +613,7 @@ class TestCertifyRealistic:
         budget = make_budget(E=0.0, q_E=1.0 - 1e-9, alpha_E=1e-9, alpha=alpha)
         result = certify_realistic(ConstantClassifier(0), np.array([0.5]), cfg, budget)
         assert result.counts == SampleCounts(n_gamma if n_eps > 1 else 0, n_gamma)
-        assert len(solves) <= math.ceil(math.log2(n_eps)) + 2, len(solves)
+        assert len(solves) <= math.ceil(math.log2(n_eps + 1)) + 1, len(solves)
 
     @pytest.mark.parametrize("n_eps", [1, 2, 3, 10, 50, 101])
     @pytest.mark.parametrize("alpha", [1e-3, 0.1, 0.9])
@@ -608,7 +623,7 @@ class TestCertifyRealistic:
         # when its bound certifies an l2 radius of at least E
         def radius(hits):
             tally = Counter({0: hits})
-            return gaussian_l2_radius(runtime._bounds(tally, tally, n_eps, alpha)[2], sigma)
+            return _gaussian_l2_radius(runtime._bounds(tally, tally, n_eps, alpha)[2], sigma)
 
         radii = {hits: radius(hits) for hits in range(1, n_eps + 1)}
         reached = [r for r in radii.values() if not isinstance(r, Abstain)]
