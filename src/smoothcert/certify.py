@@ -68,8 +68,9 @@ class ProbBounds:
 
     ``pa_lower`` underestimates the top-class probability and ``pb_upper``
     overestimates the runner-up; both hold jointly with probability
-    ``confidence``.  Certification needs ``pa_lower > pb_upper``; bounds that
-    cross are representable and yield an abstention downstream.
+    ``confidence``.  pb_upper lies in [0, 1]: 1 is the trivial 1 - pa_lower at
+    pa_lower <= 2**-54.  Certification needs ``pa_lower > pb_upper``; bounds
+    that cross are representable and yield an abstention downstream.
     """
 
     pa_lower: float
@@ -79,8 +80,8 @@ class ProbBounds:
     def __post_init__(self) -> None:
         if not 0.0 < self.pa_lower < 1.0:
             raise ValueError(f"pa_lower must lie in (0, 1), got {self.pa_lower}")
-        if not 0.0 <= self.pb_upper < 1.0:
-            raise ValueError(f"pb_upper must lie in [0, 1), got {self.pb_upper}")
+        if not 0.0 <= self.pb_upper <= 1.0:
+            raise ValueError(f"pb_upper must lie in [0, 1], got {self.pb_upper}")
         if not 0.0 < self.confidence <= 1.0:
             raise ValueError(f"confidence must lie in (0, 1], got {self.confidence}")
 

@@ -178,17 +178,18 @@ def cmd_table(args: argparse.Namespace) -> _Run:
 def cmd_cert(args: argparse.Namespace) -> _Run:
     if not 0.0 < args.pa < 1.0:
         raise ValueError(f"--pa must lie in (0, 1), got {args.pa}")
-    pb = 1.0 - args.pa if args.trivial_pb else args.pb
-    if not args.trivial_pb and pb >= args.pa:
-        raise ValueError(f"--pb {pb} must be below --pa {args.pa}")
+    if not args.trivial_pb and args.pb >= args.pa:
+        raise ValueError(f"--pb {args.pb} must be below --pa {args.pa}")
+    bounds = ProbBounds.with_trivial_pb(args.pa) if args.trivial_pb else ProbBounds(args.pa, args.pb)
+    resolved = {"pb": bounds.pb_upper}
 
-    outcome = certify_for(_smoothing_distribution(args.dist, args.scale), ProbBounds(args.pa, pb))
+    outcome = certify_for(_smoothing_distribution(args.dist, args.scale), bounds)
 
     if isinstance(outcome, Abstain):
         result = {"abstain": True, "reason": outcome.reason} if args.json else f"abstain: {outcome.reason}\n"
-        return result, EXIT_ABSTAIN, None, {"pb": pb}
+        return result, EXIT_ABSTAIN, None, resolved
     if args.json:
-        return {"abstain": False, "certificate": _certificate_json(outcome)}, EXIT_OK, None, {"pb": pb}
+        return {"abstain": False, "certificate": _certificate_json(outcome)}, EXIT_OK, None, resolved
     gamma2 = "inf" if outcome.unbounded else f"{outcome.gamma2:.4f}"
     text = (
         f"gamma1 {outcome.gamma1:.4f}\n"
@@ -197,7 +198,7 @@ def cmd_cert(args: argparse.Namespace) -> _Run:
         f"distribution {outcome.distribution}\n"
         f"confidence {outcome.confidence:g}\n"
     )
-    return text, EXIT_OK, None, {"pb": pb}
+    return text, EXIT_OK, None, resolved
 
 
 # --- smooth -----------------------------------------------------------------
@@ -315,20 +316,20 @@ def cmd_compare(args: argparse.Namespace) -> _Run:
     for pa in pa_grid:
         if not 0.0 < pa < 1.0:
             raise ValueError(f"pa grid values must lie in (0, 1), got {pa}")
-        pb = 1.0 - pa
+        bounds = ProbBounds.with_trivial_pb(pa)
         rayleigh_cert: Certificate | None = None
         for name in dists:
             dist = _smoothing_distribution(name, None)
             if dist.kind.log_space:  # --scale sets the log-space laws only
                 dist = _smoothing_distribution(name, args.scale)
-            outcome = certify_for(dist, ProbBounds(pa, pb))
+            outcome = certify_for(dist, bounds)
             if dist.kind is Kind.RAYLEIGH and isinstance(outcome, Certificate):
                 rayleigh_cert = outcome
             rows.append(_compare_row(pa, name, dist.scale, outcome))
         if args.matched and rayleigh_cert is not None and rayleigh_cert.gamma2 > 1.0:
             # scale matching the log-Gaussian right endpoint to the direct one (gamma2 > 1 implies pa > 1/2)
             matched_scale = math.log(rayleigh_cert.gamma2) / float(ndtri(pa))
-            outcome = certify_for(log_gaussian(matched_scale), ProbBounds(pa, pb))
+            outcome = certify_for(log_gaussian(matched_scale), bounds)
             rows.append(_compare_row(pa, "log-gaussian-matched", matched_scale, outcome))
     return rows, EXIT_OK, None, {}
 

@@ -7,12 +7,12 @@ more often than it exceeds another.  The weighted-sum law has no convenient
 closed form for mixed-sign weights, so probabilities are estimated by
 Monte-Carlo with common random numbers: a query weights one set of draws
 to solve its two thresholds and a fresh set for its verdict, and each tail
-probability carries a 99% normal interval; queries whose intervals overlap
-are reported as unknown.  The verdict itself has no stated confidence: near
-the region's boundary a decided verdict can contradict the exact sign, in
-either direction.  A query reads only the two streams its ``stream_base``
-names, so a caller scanning several factor vectors gives each its own base
-and gets verdicts independent of the order.
+probability carries a two-sided 99% Clopper-Pearson interval; queries whose
+intervals overlap are reported as unknown.  The verdict itself has no stated
+confidence: near the region's boundary a decided verdict can contradict the
+exact sign, in either direction.  A query reads only the two streams its
+``stream_base`` names, so a caller scanning several factor vectors gives each
+its own base and gets verdicts independent of the order.
 
 With the draws fixed, each empirical tail probability is a step function of
 the threshold, so both thresholds are exact order statistics of the sampled
@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import bisect
 import enum
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
+from .certify import SampleCounts, Side, clopper_pearson
 from .distributions import RayleighParams
 from .rng import SeededSampler, _split
 
@@ -42,7 +41,6 @@ __all__ = [
     "in_robust_region",
 ]
 
-_Z99 = float(ndtri(0.995))
 _MIN_MC_SAMPLES = 10_000
 
 
@@ -131,10 +129,9 @@ def _sums(problem: MultiCertProblem, coeffs: np.ndarray, stream_index: int) -> n
 
 
 def _estimate(indicator: np.ndarray) -> tuple[float, float]:
-    """The 99% normal interval (lo, hi) around the share of true entries."""
-    p = float(indicator.mean())
-    half = _Z99 * math.sqrt(p * (1.0 - p) / indicator.size)
-    return p - half, p + half
+    """The two-sided 99% Clopper-Pearson interval (lo, hi) on the share of true entries."""
+    c = SampleCounts(int(np.count_nonzero(indicator)), indicator.size)
+    return clopper_pearson(c, 0.005, Side.LOWER), clopper_pearson(c, 0.005, Side.UPPER)
 
 
 def _solve_threshold(sums: np.ndarray, target: float, upper_tail: bool) -> float:

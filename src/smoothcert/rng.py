@@ -165,13 +165,12 @@ class SeededSampler:
     def _fill(self, out: np.ndarray, start: int) -> None:
         """Writes the uniforms at draw indices ``start..start+out.size-1`` into ``out``, on this thread.
 
-        ``out`` must be contiguous.  A start inside a Philox block draws and
-        drops the block's earlier words, so any start reads the stream's bits.
+        ``out`` must be contiguous.  Philox opens at the block holding ``start``
+        and drops the block's words before it, so any start reads the stream's bits.
         """
         block, offset = divmod(start, _WORDS_PER_BLOCK)
-        bitgen = np.random.Philox(key=np.array([self.seed, self.stream_index], dtype=np.uint64))
-        bitgen.advance(block)
-        generator = np.random.Generator(bitgen)
+        key = np.array([self.seed, self.stream_index], dtype=np.uint64)
+        generator = np.random.Generator(np.random.Philox(counter=block, key=key))
         if offset:
             generator.random(offset)
         generator.random(out=out)

@@ -424,12 +424,13 @@ def empirical_sweep(
     Upward in additive increments of ``step`` to ``gamma_max``, downward in
     the same increments to a floor of ``step``; both ends are the last factor
     at which the prediction still matched the factor-1 label; both limits are
-    finite, so the walk ends even where the prediction never changes.  Returns
-    None when the clean prediction abstains.  ``predict(x, index)`` gets a
-    running query index: 0 at factor 1, then in walk order, upward first.
+    finite and 1 + step > 1, so the walk ends even where the prediction never
+    changes.  Returns None when the clean prediction abstains.
+    ``predict(x, index)`` gets a running query index: 0 at factor 1, then in
+    walk order, upward first.
     """
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"step must be positive and finite, got {step}")
+    if not 2.0**-53 < step < math.inf:  # at or below 2**-53, 1 + step rounds to 1
+        raise ValueError(f"step must be finite and exceed 2**-53, got {step}")
     if not 1.0 < gamma_max < math.inf:
         raise ValueError(f"gamma_max must be finite and exceed 1, got {gamma_max}")
     arr = validate_image(x)

@@ -302,7 +302,12 @@ class TestCertifyRayleigh:
         assert (cert.gamma1, cert.gamma2) == (0.0, math.inf)
         with pytest.raises(ValueError):
             ProbBounds(1.0, 0.1)
-        for pb in (1.0, -0.1):
+        # pb = 1 is the trivial runner-up bound 1 - pa once that rounds to 1
+        bounds = ProbBounds.with_trivial_pb(1e-17)
+        assert bounds.pb_upper == 1.0
+        for kind in Kind:
+            assert isinstance(certify_for(SmoothingDistribution(kind, 0.8), bounds), Abstain), kind
+        for pb in (-0.1, math.nextafter(1.0, 2.0), math.nan):
             with pytest.raises(ValueError, match="pb_upper must lie in"):
                 ProbBounds(0.9, pb)
         for confidence in (0.0, 1.5):

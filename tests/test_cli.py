@@ -87,6 +87,16 @@ class TestCert:
         assert code == EXIT_ABSTAIN
         assert "abstain" in out
 
+    @pytest.mark.parametrize("pa", ["1e-17", "5e-324"])
+    def test_trivial_runner_up_that_rounds_to_one_abstains(self, capsys, pa):
+        # at pa <= 2**-54 the trivial bound 1 - pa rounds to pb = 1
+        code, out, err = run(capsys, ["cert", "--pa", pa, "--trivial-pb", "--json"])
+        assert (code, err) == (EXIT_ABSTAIN, "")
+        report = json.loads(out)
+        assert report["manifest"]["config"]["pb"] == 1.0
+        assert report["result"]["abstain"] is True
+        assert report["result"]["reason"].startswith("bounds do not separate")
+
     def test_crossed_bounds_are_a_usage_error(self, capsys):
         code, _, err = run(capsys, ["cert", "--pa", "0.9", "--pb", "0.95"])
         assert code == EXIT_ERROR
@@ -798,6 +808,14 @@ class TestCompare:
         by_dist = {r["distribution"]: r for r in parse_csv(out)}
         assert ("log-gaussian-matched" in by_dist) is matched
         assert (float(by_dist["rayleigh"]["gamma2_full"]) > 1.0) is matched
+
+    def test_trivial_runner_up_that_rounds_to_one_gives_empty_rows(self, capsys):
+        code, out, err = run(capsys, ["compare", "--pa-grid", "1e-17,0.9"])
+        assert (code, err) == (EXIT_OK, "")
+        rows = parse_csv(out)
+        assert [r["pa"] for r in rows if r["distribution"] == "rayleigh"] == ["1e-17", "0.9"]
+        tiny = [r for r in rows if r["pa"] == "1e-17"]
+        assert len(tiny) == 4 and all(r["gamma1"] == r["gamma2"] == "" for r in tiny)
 
     def test_grid_spec_parsing(self, capsys):
         code, out, _ = run(capsys, ["compare", "--pa-grid", "0.6:0.9:4", "--dists", "rayleigh", "--no-matched"])

@@ -7,20 +7,24 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from smoothcert import (
     MultiCertProblem,
     ProbBounds,
     RayleighParams,
+    SampleCounts,
+    Side,
     Verdict,
     certify_rayleigh,
+    clopper_pearson,
     in_robust_region,
     rayleigh,
     solve_thresholds,
 )
 from smoothcert.multicert import (
     _MIN_MC_SAMPLES,
-    _Z99,
+    _estimate,
     _exp_squares,
     _solve_threshold,
 )
@@ -29,6 +33,8 @@ from smoothcert.rng import SeededSampler
 from loop_threshold import loop_threshold
 
 SIGMA = RayleighParams.unit_median().sigma
+# Two-sided 99% normal quantile for the Monte-Carlo tolerance of the reference estimator.
+Z99 = float(ndtri(0.995))
 
 
 def exponential_cdf(t: float, scale: float) -> float:
@@ -100,7 +106,7 @@ def weighted_expsum_cdf(
     c = np.sort(c)[::-1]
     squares = _exp_squares(sigma, c.size, mc_samples, SeededSampler(seed, stream_index))
     p = float((squares @ c <= threshold).mean())
-    return McEstimate(p, _Z99 * math.sqrt(p * (1.0 - p) / mc_samples))
+    return McEstimate(p, Z99 * math.sqrt(p * (1.0 - p) / mc_samples))
 
 
 
@@ -132,6 +138,21 @@ class TestWeightedExpsumCdf:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             weighted_expsum_cdf([1.0], SIGMA, 0.5, 5_000, seed=1)
+
+
+class TestEstimate:
+    @pytest.mark.parametrize("hits", [0, 1, 5_000, 9_999, 10_000])
+    def test_is_the_two_sided_clopper_pearson_interval(self, hits):
+        indicator = np.arange(10_000) < hits
+        counts = SampleCounts(hits, 10_000)
+        expected = (clopper_pearson(counts, 0.005, Side.LOWER), clopper_pearson(counts, 0.005, Side.UPPER))
+        assert _estimate(indicator) == expected
+
+    @pytest.mark.parametrize("value", [False, True])
+    def test_has_positive_width_when_every_entry_agrees(self, value):
+        lo, hi = _estimate(np.full(100_000, value))
+        assert 0.0 <= lo < hi <= 1.0
+        assert (hi == 1.0) if value else (lo == 0.0)
 
 
 class TestSolveThresholds:

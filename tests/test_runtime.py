@@ -245,15 +245,31 @@ class TestEmpiricalSweep:
         "step, gamma_max", [(0.01, math.inf), (math.inf, 2.0), (0.01, math.nan), (math.nan, 2.0)]
     )
     def test_limits_must_be_finite(self, step, gamma_max):
-        queries = itertools.count()
-
-        def constant(x, index):  # fails rather than hangs if the walk has no end
-            if next(queries) >= 1000:
-                raise RuntimeError("the walk made 1000 queries")
-            return 0
-
         with pytest.raises(ValueError, match="finite"):
-            empirical_sweep(constant, np.array([0.5]), step, gamma_max)
+            empirical_sweep(constant_for_1000_queries(), np.array([0.5]), step, gamma_max)
+
+    @pytest.mark.parametrize("step", [1e-300, 2.0**-53])
+    def test_step_must_move_the_factor_off_one(self, step):
+        # 1 + step rounds to 1: unchecked, the walk makes at least 1 / step queries
+        with pytest.raises(ValueError, match="step"):
+            empirical_sweep(constant_for_1000_queries(), np.array([0.5]), step, 2.0)
+
+    def test_smallest_step_that_moves_the_factor_is_accepted(self):
+        step = float(np.nextafter(2.0**-53, 1.0))
+        assert 1.0 + step > 1.0
+        assert empirical_sweep(lambda x, index: 1 if index == 0 else 0, np.array([0.5]), step, 2.0) == (1.0, 1.0)
+
+
+def constant_for_1000_queries():
+    """A predict that always says 0 and fails, rather than hangs, if a walk has no end."""
+    queries = itertools.count()
+
+    def constant(x, index):
+        if next(queries) >= 1000:
+            raise RuntimeError("the walk made 1000 queries")
+        return 0
+
+    return constant
 
 
 class TestSmoothedClassifier:
