@@ -14,8 +14,8 @@ exact one-sided Clopper-Pearson binomial bounds, computed as closed-form beta
 quantiles rounded outward so that they never claim more than the exact
 binomial tail allows; and :func:`certify_for`, the one dispatch from a
 smoothing law to its rule: the log-space certified interval of each symmetric
-baseline law, and the one body of the t-root rule and of its reciprocal for
-smoothing with 1/Rayleigh factors.
+baseline law (the log-Gaussian ln-radius is also realistic's inner l2 radius),
+and the one body of the t-root rule and of its reciprocal for 1/Rayleigh factors.
 """
 
 from __future__ import annotations

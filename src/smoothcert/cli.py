@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", choices=list(_DIST_FACTORIES), default="rayleigh")
     p.add_argument("--scale", type=float)
     p.add_argument("--sweep", action="store_true", help="also walk the empirical robustness interval")
-    p.add_argument("--step", type=float, default=0.01, help="sweep step")
+    p.add_argument("--step", type=float, default=0.01, help="sweep step, at least --gamma-max / 2**20")
     p.add_argument("--gamma-max", type=float, default=4.0, help="sweep upper limit")
     p.add_argument("--out", help="JSON path (stdout when omitted)")
     p.set_defaults(func=cmd_smooth)

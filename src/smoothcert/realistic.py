@@ -3,14 +3,15 @@
 Once images are re-quantized to 8 bits per channel, composing power
 transforms is only approximately multiplicative.  The fix is layered: the
 base classifier is first smoothed with additive Gaussian noise so that it is
-provably robust in an l2-ball large enough to absorb the measured conversion
-error, and that inner classifier is then smoothed over the multiplicative
-factor as usual.  Every estimation step spends part of a mistake budget; the
-final probability bounds are shifted by the budget total and the certificate
-is clipped to the attack interval the error bound was measured on.
+provably robust, by the radius that :func:`certify_for` gives, in an l2-ball
+large enough to absorb the measured conversion error, and that inner
+classifier is then smoothed over the multiplicative factor as usual.  Every
+estimation step spends part of a mistake budget; the final probability bounds
+are shifted by the budget total and the certificate is clipped to the attack
+interval the error bound was measured on.
 :func:`estimate_conversion_error` measures the bound, :class:`ErrorBudget`
 records it, and :func:`certify_realistic` spends it; the budget shift, the
-inner l2 radius and the sample-count rule are private steps of these.
+inner hit threshold and the sample-count rule are private steps of these.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.special import bdtrc, ndtri
 
 from .certify import Abstain, ProbBounds, SampleCounts, Side, certify_for, clopper_pearson
-from .distributions import SmoothingDistribution, rayleigh
+from .distributions import SmoothingDistribution, log_gaussian, rayleigh
 from .rng import SeededSampler, _split
 from .runtime import BaseClassifier, PredictionResult, _bounds, _read_manifest, _tally, _top
 from .transforms import conversion_error, gamma_correct, validate_image
@@ -153,13 +154,6 @@ def _adjust_probabilities(pa_lower: float, pb_upper: float, rho: float) -> ProbB
     return ProbBounds(pa, pb_upper + rho, confidence=1.0 - rho)
 
 
-def _gaussian_l2_radius(pa_lower: float, sigma_gauss: float) -> float | Abstain:
-    """Certified l2 radius of Gaussian smoothing with the trivial runner-up bound."""
-    if pa_lower <= 0.5:
-        return Abstain(f"pa_lower={pa_lower} <= 1/2: no l2 radius")
-    return sigma_gauss * float(ndtri(pa_lower))
-
-
 def _min_samples_for_quantile_bound(q_E: float, alpha_E: float) -> int:
     """Smallest sample count for which an order statistic can bound the q_E-quantile.
 
@@ -247,11 +241,15 @@ def estimate_conversion_error(
 
 
 def _hit_threshold(n_eps: int, alpha: float, sigma_gauss: float, E: float) -> int:
-    """The least top count of n_eps inner draws whose l2 radius reaches ``E`` (bisected: radii rise), else n_eps + 1."""
+    """The least top count of n_eps inner draws whose l2 radius reaches ``E`` (bisected: radii rise), else n_eps + 1.
+
+    At pb = 1 - pa the l2 radius sigma * Phi^-1(pa) is the ln-radius of log-Gaussian smoothing at sigma, rounded
+    inward by :func:`certify_for`; one above ln(max double) ~ 709.78 reads as 709.78, which is conservative.
+    """
 
     def covers(hits: int) -> bool:
-        radius = _gaussian_l2_radius(clopper_pearson(SampleCounts(hits, n_eps), alpha, Side.LOWER), sigma_gauss)
-        return not isinstance(radius, Abstain) and radius >= E
+        pa = clopper_pearson(SampleCounts(hits, n_eps), alpha, Side.LOWER)
+        return pa > 0.5 and math.log(certify_for(log_gaussian(sigma_gauss), ProbBounds.with_trivial_pb(pa)).gamma2) >= E
 
     return bisect.bisect_left(range(1, n_eps + 1), True, key=covers) + 1
 

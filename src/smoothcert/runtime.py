@@ -63,6 +63,7 @@ _ESTIMATION_STREAM = 1
 _PREDICT_STREAM_BASE = 16
 # Doubles of input built and labelled per chunk of a vote tally (32 MB).
 _TALLY_CAP = 2**22
+_SWEEP_CAP = 2**20  # most factors an empirical sweep walks, gamma_max / step
 
 
 class BaseClassifier(ABC):
@@ -423,16 +424,16 @@ def empirical_sweep(
 
     Upward in additive increments of ``step`` to ``gamma_max``, downward in
     the same increments to a floor of ``step``; both ends are the last factor
-    at which the prediction still matched the factor-1 label; both limits are
-    finite and 1 + step > 1, so the walk ends even where the prediction never
-    changes.  Returns None when the clean prediction abstains.
+    at which the prediction still matched the factor-1 label.  The walk makes
+    at most gamma_max / step + 2 queries, and a step that makes that over
+    2**20 + 2 is refused before the first.  Returns None when the clean prediction abstains.
     ``predict(x, index)`` gets a running query index: 0 at factor 1, then in
     walk order, upward first.
     """
-    if not 2.0**-53 < step < math.inf:  # at or below 2**-53, 1 + step rounds to 1
-        raise ValueError(f"step must be finite and exceed 2**-53, got {step}")
     if not 1.0 < gamma_max < math.inf:
         raise ValueError(f"gamma_max must be finite and exceed 1, got {gamma_max}")
+    if not gamma_max / _SWEEP_CAP <= step < math.inf:  # the cap is a power of two, so the quotient is exact
+        raise ValueError(f"step must be finite and at least gamma_max / 2**20 = {gamma_max / _SWEEP_CAP!r}, got {step}")
     arr = validate_image(x)
     queries = itertools.count()
 

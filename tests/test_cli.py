@@ -352,6 +352,22 @@ class TestSmooth:
         )
         TestRealisticCommand._assert_one_error_line(code, out, err, "gamma_max", "finite")
 
+    def test_sweep_step_past_the_query_cap_exits_one(self, capsys, oracle_workspace):
+        # the default --gamma-max 4 over --step 1e-12 would walk 4e12 factors
+        code, out, err = run(
+            capsys,
+            [
+                "smooth",
+                "--input", str(oracle_workspace / "x.mst1"),
+                "--classifier", str(oracle_workspace / "oracle.json"),
+                "--n", "200", "--alpha", "0.01", "--sweep", "--step", "1e-12",
+            ],
+        )
+        TestRealisticCommand._assert_one_error_line(code, out, err, "step", "2**20")
+        commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+        step = next(action for action in commands["smooth"]._actions if action.dest == "step")
+        assert "2**20" in step.help
+
     def test_sweep_of_an_abstaining_input_is_empty(self, capsys, oracle_workspace):
         # the threshold sits at the clean pixel, so the exact smoothed
         # probability is 1/2: the clean prediction abstains and the sweep has

@@ -4,16 +4,18 @@ import re
 import threading
 import tracemalloc
 from collections import Counter
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from scipy.special import bdtrc
+from scipy.special import bdtrc, ndtr
 from scipy.stats import binom
 
 from smoothcert import (
     Abstain,
     ConstantClassifier,
     ErrorBudget,
+    ProbBounds,
     RayleighParams,
     RealisticConfig,
     SampleCounts,
@@ -38,16 +40,22 @@ from smoothcert import (
 from smoothcert import realistic, rng, runtime
 from smoothcert.realistic import (
     _adjust_probabilities,
-    _gaussian_l2_radius,
     _min_samples_for_quantile_bound,
     _noisy_rows,
 )
 from smoothcert.rng import _SPLIT_MIN, SeededSampler
 from smoothcert.rng import _split as rng_split
 from smoothcert.runtime import BaseClassifier, PredictionResult
+from test_certify import _lower_tail
 from test_cli_golden import SIGMAS_GAUSS, _workspace
 
 GAMMA_INTERVAL = (0.71, 1.33)
+
+
+def l2_radius(pa_lower: float, sigma_gauss: float) -> float | None:
+    """The inner l2 radius the hit threshold compares with E: the log-Gaussian ln-radius, or None at pa <= 1/2."""
+    outcome = certify_for(log_gaussian(sigma_gauss), ProbBounds.with_trivial_pb(pa_lower))
+    return None if isinstance(outcome, Abstain) else math.log(outcome.gamma2)
 
 
 def make_budget(E=0.0, q_E=0.9, alpha_E=0.01, alpha=0.001, interval=GAMMA_INTERVAL) -> ErrorBudget:
@@ -110,15 +118,39 @@ class TestAdjustProbabilities:
 
 class TestGaussianRadius:
     def test_vanishing_margin(self):
-        radius = _gaussian_l2_radius(0.5 + 1e-12, 0.25)
+        radius = l2_radius(0.5 + 1e-12, 0.25)
         assert 0.0 <= radius < 1e-9
 
     def test_erf_reference_points(self):
-        assert abs(_gaussian_l2_radius(0.93319, 0.25) - 0.375) < 1e-4
-        assert abs(_gaussian_l2_radius(0.97725, 0.25) - 0.5) < 1e-4
+        assert abs(l2_radius(0.93319, 0.25) - 0.375) < 1e-4
+        assert abs(l2_radius(0.97725, 0.25) - 0.5) < 1e-4
 
     def test_below_half_abstains(self):
-        assert isinstance(_gaussian_l2_radius(0.4, 0.25), Abstain)
+        assert l2_radius(0.4, 0.25) is None
+        assert l2_radius(0.5, 0.25) is None
+
+    @pytest.mark.parametrize("sigma", [1e-3, 0.25, 4.0, 1e3])
+    def test_radius_never_exceeds_the_exact_one(self, sigma):
+        # Phi(R / sigma) <= pa: the radius is rounded inward, down to the
+        # smallest margin above 1/2, the largest below 1 and radii past 709.78
+        gen = np.random.default_rng(31)
+        pas = np.concatenate([
+            gen.uniform(0.5, 1.0, 500),
+            0.5 + 10.0 ** gen.uniform(-17.0, -1.0, 500),
+            1.0 - 10.0 ** gen.uniform(-16.0, -1.0, 500),
+            [np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0)],
+        ])
+        for pa in pas[(pas > 0.5) & (pas < 1.0)]:
+            assert ndtr(l2_radius(float(pa), sigma) / sigma) <= pa, pa
+
+    def test_a_radius_rounded_above_the_exact_one_does_not_cover(self):
+        # 10 hits of 10 give pa = 0.6309...; ndtri rounds its probit up, so
+        # Phi(E) > pa: E lies above the exact radius, and no count covers it
+        pa = clopper_pearson(SampleCounts(10, 10), 0.01, Side.LOWER)
+        E = 0.3343899646853155
+        assert 1 - _lower_tail(-Decimal(E)) > Decimal(pa)
+        assert realistic._hit_threshold(10, 0.01, 1.0, E) == 11
+        assert realistic._hit_threshold(10, 0.01, 1.0, l2_radius(pa, 1.0)) == 10
 
 
 class TestQuantileUpperConfidence:
@@ -567,7 +599,7 @@ class TestCertifyRealistic:
         # can: an E just above it labels no row and abstains as when every
         # draw misses, and an E equal to it labels every row
         cfg = RealisticConfig(n_eps=50, n_gamma=60, sigma_gauss=0.05, alpha=0.001, seed=3)
-        reach = _gaussian_l2_radius(clopper_pearson(SampleCounts(50, 50), cfg.alpha, Side.LOWER), cfg.sigma_gauss)
+        reach = l2_radius(clopper_pearson(SampleCounts(50, 50), cfg.alpha, Side.LOWER), cfg.sigma_gauss)
         missed = PredictionResult(None, 0.0, None, SampleCounts(0, 60), reason="no factor draw produced a robust inner vote")
         for E, rows in [(math.nextafter(reach, math.inf), 0), (reach, 50 * 60)]:
             counting = CountingLabels(ConstantClassifier(0))
@@ -620,18 +652,18 @@ class TestCertifyRealistic:
     @pytest.mark.parametrize("sigma", [1e-3, 0.25, 4.0])
     def test_hit_threshold_is_the_per_draw_rule(self, n_eps, alpha, sigma):
         # the rule as each factor draw applied it: the top inner label votes
-        # when its bound certifies an l2 radius of at least E
+        # when its bound certifies an l2 radius, rounded inward, of at least E
         def radius(hits):
             tally = Counter({0: hits})
-            return _gaussian_l2_radius(runtime._bounds(tally, tally, n_eps, alpha)[2], sigma)
+            return l2_radius(runtime._bounds(tally, tally, n_eps, alpha)[2], sigma)
 
         radii = {hits: radius(hits) for hits in range(1, n_eps + 1)}
-        reached = [r for r in radii.values() if not isinstance(r, Abstain)]
+        reached = [r for r in radii.values() if r is not None]
         # E at every attained radius, just above each, and past them all
         for E in {0.0, math.inf, *reached, *(math.nextafter(r, math.inf) for r in reached)}:
             threshold = realistic._hit_threshold(n_eps, alpha, sigma, E)
             for hits, r in radii.items():
-                assert (hits >= threshold) == (not isinstance(r, Abstain) and r >= E), (E, hits)
+                assert (hits >= threshold) == (r is not None and r >= E), (E, hits)
         if (n_eps, alpha) == (2, 0.9):  # a 1-1 tie clears 1/2 and votes
             assert realistic._hit_threshold(n_eps, alpha, sigma, 0.0) == 1
 

@@ -254,10 +254,26 @@ class TestEmpiricalSweep:
         with pytest.raises(ValueError, match="step"):
             empirical_sweep(constant_for_1000_queries(), np.array([0.5]), step, 2.0)
 
-    def test_smallest_step_that_moves_the_factor_is_accepted(self):
-        step = float(np.nextafter(2.0**-53, 1.0))
-        assert 1.0 + step > 1.0
-        assert empirical_sweep(lambda x, index: 1 if index == 0 else 0, np.array([0.5]), step, 2.0) == (1.0, 1.0)
+    @pytest.mark.parametrize("gamma_max", [2.0, 3.7, 1.0 + 2.0**-20])
+    def test_smallest_step_the_query_cap_allows_is_accepted(self, gamma_max):
+        # gamma_max / step may reach 2**20 and no further
+        step = gamma_max / 2**20
+
+        def flips(x, index):
+            return 1 if index == 0 else 0
+
+        assert empirical_sweep(flips, np.array([0.5]), step, gamma_max) == (1.0, 1.0)
+        with pytest.raises(ValueError, match="step"):
+            empirical_sweep(flips, np.array([0.5]), float(np.nextafter(step, 0.0)), gamma_max)
+
+    def test_a_step_past_the_query_cap_is_refused_before_any_query(self):
+        # step 1e-12 would walk about 2e12 factors
+        with pytest.raises(ValueError, match="step"):
+            empirical_sweep(constant_for_1000_queries(), np.array([0.5]), 1e-12, 2.0)
+        queries = []
+        with pytest.raises(ValueError, match="step"):
+            empirical_sweep(lambda x, index: queries.append(index), np.array([0.5]), 1e-12, 2.0)
+        assert queries == []
 
 
 def constant_for_1000_queries():
